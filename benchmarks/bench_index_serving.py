@@ -97,8 +97,7 @@ def test_index_serving_speedup(scale, tmp_path):
     def warm_sweep():
         loaded = FrozenRRIndex.load(path)
         service = AllocationService(loaded, graph=graph, model=model)
-        return service.query_batch(
-            [{"algorithm": "SeqGRD-NM", "budgets": b} for b in budgets])
+        return [service.query("SeqGRD-NM", budgets=b) for b in budgets]
 
     warm_s, warm_results = _time(warm_sweep)
     speedup = cold_s / max(warm_s, 1e-9)
@@ -110,10 +109,10 @@ def test_index_serving_speedup(scale, tmp_path):
     # repeated (cached) queries are nearly free
     service = AllocationService(FrozenRRIndex.load(path), graph=graph,
                                 model=model)
-    service.query_batch(
-        [{"algorithm": "SeqGRD-NM", "budgets": b} for b in budgets])
-    cached_s, _ = _time(lambda: service.query_batch(
-        [{"algorithm": "SeqGRD-NM", "budgets": b} for b in budgets]))
+    for b in budgets:
+        service.query("SeqGRD-NM", budgets=b)
+    cached_s, _ = _time(lambda: [service.query("SeqGRD-NM", budgets=b)
+                                 for b in budgets])
 
     # --- parallel build: 1/2/4 workers, cold + warm, identical contents -
     cpu_count = os.cpu_count() or 1

@@ -133,8 +133,7 @@ def test_node_selection_speedup(scale, tmp_path):
     def warm_sweep():
         index = FrozenRRIndex.load(tmp_path / "service-bench")
         service = AllocationService(index, graph=service_graph, model=model)
-        return service.query_batch(
-            [{"algorithm": "SeqGRD-NM", "budgets": b} for b in sweep])
+        return [service.query("SeqGRD-NM", budgets=b) for b in sweep]
 
     warm_sweep_s, warm_answers = _best_of(warm_sweep)
     assert all(answer["allocation"] for answer in warm_answers)

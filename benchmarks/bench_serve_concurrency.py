@@ -3,16 +3,16 @@
 Measures the serving story of :mod:`repro.serve` on a smoke-scale
 benchmark network:
 
-* **stdio baseline** — the blocking single-client loop (one request per
-  line, synchronous dispatch), warm index, response caching off so every
-  request pays its selection run — the pre-PR ``repro serve`` behaviour;
+* **stdio baseline** — one client, one request at a time
+  (:meth:`AllocationServer.dispatch_line`), warm index, response caching
+  off so every request pays its selection run;
 * **concurrent TCP** — 1/8/32 simulated clients against the asyncio
   server, cold (first pass: lazy index load + first selections) vs warm
-  (second pass), coalescing on vs off.  With coalescing, N clients
-  asking about the same workload cost one selection run, so warm
-  32-client throughput must be **>= 5x** the stdio baseline (acceptance
-  criterion), with the coalesce counter > 0 and every response
-  bit-identical to a direct ``repro run`` of its spec.
+  (second pass).  Coalescing makes N clients asking about the same
+  workload cost one selection run, so warm 32-client throughput must be
+  **>= 5x** the stdio baseline (acceptance criterion), with the coalesce
+  counter > 0 and every response bit-identical to a direct ``repro run``
+  of its spec.
 
 Results are written to ``benchmarks/BENCH_serve.json``.  Scale is
 controlled by ``REPRO_BENCH_SCALE`` like the rest of the suite.
@@ -87,9 +87,9 @@ def _build_index_dir(tmp_path, scale, spec):
     return graph, model, index
 
 
-def _fresh_server(tmp_path, coalesce=True):
+def _fresh_server(tmp_path):
     registry = IndexRegistry(directory=tmp_path, capacity=2, cache_size=0)
-    return AllocationServer(registry, coalesce=coalesce)
+    return AllocationServer(registry)
 
 
 def _stdio_pass(server, requests):
@@ -121,9 +121,9 @@ async def _tcp_pass(host, port, num_clients, request_lines):
     return elapsed, [r for batch in results for r in batch]
 
 
-def _tcp_run(tmp_path, num_clients, request_lines, coalesce=True):
+def _tcp_run(tmp_path, num_clients, request_lines):
     """One cold + one warm pass against a fresh server; returns rows."""
-    server = _fresh_server(tmp_path, coalesce=coalesce)
+    server = _fresh_server(tmp_path)
 
     async def scenario():
         host, port = await server.start_tcp("127.0.0.1", 0)
@@ -140,7 +140,6 @@ def _tcp_run(tmp_path, num_clients, request_lines, coalesce=True):
     total = num_clients * len(request_lines)
     return {
         "clients": num_clients,
-        "coalesce": coalesce,
         "requests_per_pass": total,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
@@ -171,19 +170,16 @@ def test_serve_concurrency_throughput(scale, tmp_path):
     stdio_s, stdio_responses = _stdio_pass(stdio_server, request_lines)
     stdio_rps = len(request_lines) / stdio_s
 
-    # --- concurrent TCP: clients x {coalesced, not} ---------------------
+    # --- concurrent TCP: 1/8/32 clients ---------------------------------
     rows = []
-    by_key = {}
+    by_clients = {}
     for num_clients in CLIENT_COUNTS:
-        for coalesce in (True, False):
-            row = _tcp_run(tmp_path, num_clients, request_lines,
-                           coalesce=coalesce)
-            responses = row.pop("responses")
-            by_key[(num_clients, coalesce)] = (row, responses)
-            rows.append(row)
+        row = _tcp_run(tmp_path, num_clients, request_lines)
+        by_clients[num_clients] = (row, row.pop("responses"))
+        rows.append(row)
 
     # --- acceptance: bit-identical, coalesced, >= 5x --------------------
-    top_row, top_responses = by_key[(32, True)]
+    top_row, top_responses = by_clients[32]
     fingerprint = specs[-1].fingerprint()
     served = [r for r in top_responses if r["fingerprint"] == fingerprint]
     assert served, "the build-matching spec was never served"
@@ -199,8 +195,7 @@ def test_serve_concurrency_throughput(scale, tmp_path):
     table = [{"workload": "stdio single-client (warm)",
               "rps": round(stdio_rps, 1), "vs_stdio": 1.0}]
     for row in rows:
-        label = (f"tcp {row['clients']} client(s) "
-                 f"{'coalesced' if row['coalesce'] else 'no-coalesce'}")
+        label = f"tcp {row['clients']} client(s)"
         table.append({"workload": label, "rps": row["warm_rps"],
                       "vs_stdio": round(row["warm_rps"] / stdio_rps, 2)})
     report(f"Concurrent serving — {graph.name} ({graph.num_nodes} nodes, "

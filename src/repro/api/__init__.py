@@ -63,7 +63,6 @@ from repro.api.protocol import (
     PROTOCOL_VERSION,
     SERVABLE_ALGORITHMS,
     error_response,
-    handle_versioned_request,
     index_mismatch,
     make_request,
 )
@@ -91,5 +90,4 @@ __all__ = [
     "make_request",
     "error_response",
     "index_mismatch",
-    "handle_versioned_request",
 ]

@@ -35,10 +35,11 @@ additionally carries ``queue_depth`` and a ``retry_after_ms`` hint.
 The served allocation is **bit-identical** to a direct ``repro run`` of the
 same spec, provided the loaded index was built for that spec — which is
 exactly what the compatibility check enforces: the spec's workload and
-engine knobs must match the index manifest (the legacy un-versioned dialect
-of :meth:`AllocationService.handle_request` remains available for raw
-budget queries).  Responses are LRU-cached on
-:meth:`RunSpec.fingerprint`.
+engine knobs must match the index manifest, and the index's RR-set kind
+must be one the algorithm executes against (the legacy un-versioned
+``{"op": "query"}`` dialect of :class:`repro.serve.AllocationServer`
+remains available for raw budget queries).  Results are LRU-cached per
+index on ``(algorithm, budgets)``; ``cached`` says that cache answered.
 
 Dynamic graphs ride the legacy dialect.  A *repairable* index (built with
 the keyed engine, ``meta["keyed"] == true`` — see :mod:`repro.dynamic`)
@@ -71,20 +72,18 @@ repaired fraction exceeds the registry's staleness bound.
 Handling is split into three stages so the concurrent server in
 :mod:`repro.serve` can coalesce and batch between them:
 
-* :func:`prepare_request` — pure validation: version, spec shape,
-  servable algorithm, index compatibility, budget resolution; returns a
-  :class:`PreparedRequest` (or an error envelope) without touching any
-  cache, so it is safe off the execution thread;
-* :func:`execute_prepared` / :func:`execute_prepared_batch` — the cache
-  lookup + greedy selection; batches funnel through
-  :meth:`AllocationService.query_batch` so compatible queries share one
-  greedy order and one executor hop;
+* :func:`prepare_request` — validation and routing: version, spec shape,
+  servable algorithm, the route to a compatible index, budget
+  resolution; returns ``(key, service, PreparedRequest)`` (or an error
+  envelope) without touching any cache, so it is safe off the execution
+  thread;
+* :func:`execute_prepared_batch` — the deadline check + greedy selection
+  for a batch of prepared requests against one service (a lone request
+  is a batch of one); failures are isolated per request;
 * :func:`build_response` — assembles the wire response.
 
-:func:`handle_versioned_request` chains the three stages inline and is the
-single-threaded path (stdio loop, direct calls).  Responses produced by
-the concurrent server additionally carry a ``"server"`` object
-(queue depth, coalescing provenance, the serving index) — see
+The server adds a ``"server"`` object to every served response (queue
+depth, coalescing provenance, the serving index) — see
 :class:`repro.serve.AllocationServer`.
 """
 
@@ -92,7 +91,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import faults
 from repro.api.specs import RunSpec
@@ -157,15 +166,34 @@ def _mismatch(label: str, requested: Any, built: Any) -> str:
             f"built with {built!r}; rebuild the index or adjust the spec")
 
 
+def _index_samplers(algorithm: str) -> Optional[Tuple[Optional[str], ...]]:
+    """The index sampler kinds ``algorithm`` executes against (``None``
+    for algorithms that are not served from an index)."""
+    from repro.core.seqgrd import INDEX_SAMPLERS as SEQGRD_SAMPLERS
+    from repro.core.supgrd import INDEX_SAMPLERS as SUPGRD_SAMPLERS
+
+    return {"SeqGRD-NM": SEQGRD_SAMPLERS,
+            "SupGRD": SUPGRD_SAMPLERS}.get(algorithm)
+
+
 def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
     """Why ``spec`` cannot be served from an index with manifest ``meta``.
 
     Returns ``None`` when compatible.  The checks mirror what makes served
-    allocations bit-identical to a direct run: same network, scale,
-    configuration, seed, IMM accuracy knobs, engine, fixed-IMM workload
-    and sampling mode (serial vs. sharded — RR-set *contents* are
-    worker-count-invariant, but the serial and sharded streams differ).
+    allocations bit-identical to a direct run: an RR-set kind the
+    algorithm executes against (marginal/standard for SeqGRD-NM, weighted
+    for SupGRD), same network, scale, configuration, seed, IMM accuracy
+    knobs, engine, fixed-IMM workload and sampling mode (serial vs.
+    sharded — RR-set *contents* are worker-count-invariant, but the
+    serial and sharded streams differ).
     """
+    samplers = _index_samplers(spec.algorithm)
+    sampler = meta.get("sampler")
+    if samplers is not None and sampler not in samplers:
+        return (f"spec algorithm {spec.algorithm} runs on "
+                f"{' or '.join(repr(k) for k in samplers if k)} RR-set "
+                f"indexes but the loaded index was built with the "
+                f"{sampler!r} sampler; rebuild the index or adjust the spec")
     resolved = spec.resolve()
     workload, engine = resolved.workload, resolved.engine
     options = meta.get("options") or {}
@@ -233,54 +261,58 @@ class PreparedRequest:
     budgets: Dict[str, int]
     deadline: Optional[float] = None
 
-    def expired(self, now: Optional[float] = None) -> bool:
-        """Whether the deadline passed (``False`` without a deadline)."""
-        if self.deadline is None:
-            return False
-        return (time.perf_counter() if now is None else now) \
-            >= self.deadline
+    def expired(self, now: float) -> bool:
+        """Whether the deadline passed by ``now`` (``False`` without a
+        deadline)."""
+        return self.deadline is not None and now >= self.deadline
 
 
-def prepare_request(service, request: Mapping[str, Any],
-                    spec: Optional[RunSpec] = None,
+def prepare_request(request: Mapping[str, Any],
+                    route: Callable[[RunSpec], Tuple[str, Any]],
                     deadline: Optional[float] = None
-                    ) -> Union[PreparedRequest, Dict[str, Any]]:
-    """Validate one versioned request against ``service``.
+                    ) -> Union[Tuple[str, Any, PreparedRequest],
+                               Dict[str, Any]]:
+    """Validate one versioned request and route it to a service.
 
-    Pure stage: checks the version, parses the spec, enforces the
-    servable-algorithm set and the index-manifest compatibility, resolves
-    the effective budgets and computes the spec fingerprint — without
-    touching any cache, so it is safe to run outside the execution thread.
-    Returns a :class:`PreparedRequest`, or an error envelope ``dict``.
-
-    ``spec`` short-circuits the version/parse/servable checks when the
-    caller (the concurrent server's router) already performed them.
+    Checks the version, parses the spec and enforces the servable
+    algorithm set; ``route(spec)`` then picks a compatible index and
+    returns ``(key, service)`` (raising :class:`ReproError` when none
+    is); finally the spec's items are validated against the service's
+    model and the effective budgets resolved.  Touches no cache, so it is
+    safe outside the execution thread.  Returns ``(key, service,
+    PreparedRequest)``, or an error envelope ``dict``.
     """
     request_id = request.get("id")
-    if spec is None:
-        version = request.get("v")
-        if version != PROTOCOL_VERSION:
-            return error_response(
-                "unsupported-version",
-                f"protocol version {version!r} is not supported; "
-                f"supported versions: [{PROTOCOL_VERSION}]", request_id)
-        spec_dict = request.get("spec")
-        if not isinstance(spec_dict, Mapping):
-            return error_response(
-                "malformed-request",
-                "a v1 request needs a 'spec' object: "
-                '{"v": 1, "spec": {"algorithm": ..., "workload": ..., '
-                '"engine": ...}}', request_id)
-        try:
-            spec = RunSpec.from_dict(spec_dict)
-        except SpecError as error:
-            return error_response("invalid-spec", str(error), request_id)
-        if spec.algorithm not in SERVABLE_ALGORITHMS:
-            return error_response(
-                "unsupported-algorithm",
-                f"{spec.algorithm} cannot be served from a prebuilt "
-                f"index; servable algorithms: "
-                f"{list(SERVABLE_ALGORITHMS)}", request_id)
+    version = request.get("v")
+    if version != PROTOCOL_VERSION:
+        return error_response(
+            "unsupported-version",
+            f"protocol version {version!r} is not supported; "
+            f"supported versions: [{PROTOCOL_VERSION}]", request_id)
+    spec_dict = request.get("spec")
+    if not isinstance(spec_dict, Mapping):
+        return error_response(
+            "malformed-request",
+            "a v1 request needs a 'spec' object: "
+            '{"v": 1, "spec": {"algorithm": ..., "workload": ..., '
+            '"engine": ...}}', request_id)
+    try:
+        spec = RunSpec.from_dict(spec_dict)
+    except SpecError as error:
+        return error_response("invalid-spec", str(error), request_id)
+    if spec.algorithm not in SERVABLE_ALGORITHMS:
+        return error_response(
+            "unsupported-algorithm",
+            f"{spec.algorithm} cannot be served from a prebuilt index; "
+            f"servable algorithms: {list(SERVABLE_ALGORITHMS)}",
+            request_id)
+    try:
+        key, service = route(spec)
+    except ReproError as error:
+        return error_response(
+            "incompatible-spec",
+            f"no hosted index is compatible with the spec: {error}",
+            request_id)
     if service.model is None:
         return error_response(
             "invalid-spec",
@@ -288,12 +320,9 @@ def prepare_request(service, request: Mapping[str, Any],
             f"graph and utility model (repro serve rebuilds them from the "
             f"index manifest)", request_id)
     try:
-        # the manifest comparison pins the configuration, so item names
-        # validate against the service's already-loaded model instead of
-        # rebuilding a catalog model on every request
-        mismatch = index_mismatch(spec, service.index.meta)
-        if mismatch is not None:
-            return error_response("incompatible-spec", mismatch, request_id)
+        # the route's manifest check pins the configuration, so item
+        # names validate against the service's already-loaded model
+        # instead of rebuilding a catalog model on every request
         spec.validate(items=tuple(service.model.items), catalog=False)
     except ReproError as error:
         return error_response("invalid-spec", str(error), request_id)
@@ -305,50 +334,20 @@ def prepare_request(service, request: Mapping[str, Any],
     if get_algorithm(spec.algorithm).single_item:
         budgets = narrow_single_item_budgets(
             budgets, spec.workload.superior_item)
-    return PreparedRequest(request_id=request_id, spec=spec,
-                           fingerprint=spec.fingerprint(),
-                           algorithm=spec.algorithm, budgets=budgets,
-                           deadline=deadline)
-
-
-def _deadline_error(prepared: PreparedRequest) -> DeadlineExceeded:
-    return DeadlineExceeded(
-        f"deadline expired before execution started "
-        f"(fingerprint {prepared.fingerprint[:12]}…)")
-
-
-def execute_prepared(service, prepared: PreparedRequest) -> Dict[str, Any]:
-    """Execute one prepared request: spec-cache lookup, query, store.
-
-    Must run on the service's execution thread (the caches and the greedy
-    order are not thread-safe).  Raises :class:`ReproError` on degenerate
-    queries (mapped to an ``invalid-spec`` envelope by the caller) and
-    :class:`DeadlineExceeded` when the request's deadline passed before
-    work started (mapped to ``deadline-exceeded``).
-    """
-    if prepared.expired():
-        raise _deadline_error(prepared)
-    slow = faults.delay("slow-selection")
-    if slow > 0.0:
-        time.sleep(slow)
-    cached = service.cached_spec_response(prepared.fingerprint)
-    if cached is not None:
-        return dict(cached, cached=True)
-    payload = service.query(prepared.algorithm, budgets=prepared.budgets)
-    payload.pop("cached", None)
-    service.store_spec_response(prepared.fingerprint, payload)
-    return dict(payload, cached=False)
+    return key, service, PreparedRequest(
+        request_id=request_id, spec=spec, fingerprint=spec.fingerprint(),
+        algorithm=spec.algorithm, budgets=budgets, deadline=deadline)
 
 
 def execute_prepared_batch(service, batch: Sequence[PreparedRequest]
                            ) -> List[Union[Dict[str, Any], ReproError]]:
-    """Execute many prepared requests against one service in one pass.
+    """Execute prepared requests against one service in one pass.
 
-    Spec-cache hits are answered first; the remaining distinct queries go
-    through :meth:`AllocationService.query_batch` so they share the LRU
-    and the incrementally-extended greedy order.  Failures are isolated
-    per request: a degenerate query yields its :class:`ReproError` in the
-    result slot instead of poisoning the whole batch, and a request whose
+    Must run on the service's execution thread (its query LRU and greedy
+    order are not thread-safe).  The requests share that LRU and the
+    incrementally-extended greedy order.  Failures are isolated per
+    request: a degenerate query yields its :class:`ReproError` in its
+    result slot instead of poisoning the batch, and a request whose
     deadline expired while queued yields :class:`DeadlineExceeded` —
     checked here, at execution start on the worker thread, so expired
     requests never cost selection time.
@@ -357,38 +356,19 @@ def execute_prepared_batch(service, batch: Sequence[PreparedRequest]
     if slow > 0.0:
         time.sleep(slow)
     now = time.perf_counter()
-    results: List[Union[Dict[str, Any], None, ReproError]] = [None] * len(batch)
-    pending: List[int] = []
-    for i, prepared in enumerate(batch):
+    results: List[Union[Dict[str, Any], ReproError]] = []
+    for prepared in batch:
         if prepared.expired(now):
-            results[i] = _deadline_error(prepared)
+            results.append(DeadlineExceeded(
+                f"deadline expired before execution started "
+                f"(fingerprint {prepared.fingerprint[:12]}…)"))
             continue
-        cached = service.cached_spec_response(prepared.fingerprint)
-        if cached is not None:
-            results[i] = dict(cached, cached=True)
-        else:
-            pending.append(i)
-    if pending:
         try:
-            payloads = service.query_batch(
-                [{"algorithm": batch[i].algorithm, "budgets": batch[i].budgets}
-                 for i in pending])
-        except ReproError:
-            # isolate the failing request(s): re-run individually so the
-            # healthy ones still get answers
-            payloads = None
-        if payloads is not None:
-            for i, payload in zip(pending, payloads):
-                payload.pop("cached", None)
-                service.store_spec_response(batch[i].fingerprint, payload)
-                results[i] = dict(payload, cached=False)
-        else:
-            for i in pending:
-                try:
-                    results[i] = execute_prepared(service, batch[i])
-                except ReproError as error:
-                    results[i] = error
-    return results  # type: ignore[return-value]
+            results.append(service.query(prepared.algorithm,
+                                         budgets=prepared.budgets))
+        except ReproError as error:
+            results.append(error)
+    return results
 
 
 def build_response(prepared: PreparedRequest, payload: Dict[str, Any],
@@ -423,29 +403,6 @@ def build_response(prepared: PreparedRequest, payload: Dict[str, Any],
     return response
 
 
-def handle_versioned_request(service, request: Mapping[str, Any]
-                             ) -> Dict[str, Any]:
-    """Answer one versioned (``"v" in request``) serve request.
-
-    ``service`` is the :class:`~repro.index.service.AllocationService` the
-    loop runs against.  Never raises: every failure becomes an error
-    envelope so one bad request cannot kill the serving loop.
-    """
-    started = time.perf_counter()
-    prepared = prepare_request(service, request)
-    if isinstance(prepared, dict):
-        return prepared
-    try:
-        payload = execute_prepared(service, prepared)
-    except DeadlineExceeded as error:
-        return error_response("deadline-exceeded", str(error),
-                              prepared.request_id)
-    except ReproError as error:
-        return error_response("invalid-spec", str(error),
-                              prepared.request_id)
-    return build_response(prepared, payload, started)
-
-
 __all__ = [
     "PROTOCOL_VERSION",
     "SERVABLE_ALGORITHMS",
@@ -456,8 +413,6 @@ __all__ = [
     "error_response",
     "index_mismatch",
     "prepare_request",
-    "execute_prepared",
     "execute_prepared_batch",
     "build_response",
-    "handle_versioned_request",
 ]

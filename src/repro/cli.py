@@ -18,10 +18,10 @@ or a job scheduler without writing Python:
   more loaded indexes; speaks both the versioned
   :mod:`repro.api.protocol` dialect (``{"v": 1, "spec": {...}}``) and the
   legacy ``{"op": "query", ...}`` dialect, over ``--stdio`` (default),
-  ``--tcp HOST:PORT`` and/or ``--unix PATH``.  Concurrent endpoints
-  coalesce identical in-flight requests and batch compatible queries
-  (see :mod:`repro.serve`); ``SIGHUP`` or the ``reload`` op hot-reloads
-  the index registry.
+  ``--tcp HOST:PORT`` and/or ``--unix PATH`` — every transport through
+  one request pipeline that coalesces identical in-flight requests and
+  batches compatible queries (see :mod:`repro.serve`); ``SIGHUP`` or the
+  ``reload`` op hot-reloads the index registry.
 
 The ``run``/``index build``/``index query``/``serve`` subcommands share
 argument groups generated from the :class:`~repro.api.WorkloadSpec` and
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--unix", type=Path, default=None, metavar="PATH",
                        help="serve concurrent clients over a unix socket")
     serve.add_argument("--stdio", action="store_true",
-                       help="serve the blocking stdin/stdout loop "
+                       help="serve stdin/stdout until stdin closes "
                             "(default when neither --tcp nor --unix is "
                             "given)")
     serve.add_argument("--cache-size", type=int, default=128,
@@ -245,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-line-bytes", type=int, default=None,
                        help="frame cap; longer request lines get an "
                             "oversized-request envelope (default 1 MiB)")
-    serve.add_argument("--no-coalesce", action="store_true",
-                       help="disable in-flight request coalescing and "
-                            "batching on the concurrent endpoints")
     serve.add_argument("--no-mmap", action="store_true",
                        help="materialize index arrays in RAM instead of "
                             "serving v2 indexes off the page cache")
@@ -267,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rate-limit", type=float, default=None,
                        metavar="RPS",
                        help="per-connection token-bucket rate limit in "
-                            "requests/second (ping/stats/metrics/reload "
-                            "stay exempt; default: unlimited)")
+                            "requests/second (ping/stats/metrics/reload/"
+                            "apply-delta stay exempt; default: "
+                            "unlimited)")
     serve.add_argument("--rate-burst", type=float, default=None,
                        metavar="N",
                        help="token-bucket burst size (default: 2x the "
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="HOST:PORT",
                        help="expose GET /metrics (Prometheus text format) "
                             "and GET /healthz on a dedicated HTTP "
-                            "listener (concurrent endpoints only)")
+                            "listener")
     serve.add_argument("--no-metrics", action="store_true",
                        help="disable metrics recording (the ops surface "
                             "still answers, with empty instruments)")
@@ -787,7 +785,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         DEFAULT_MAX_LINE_BYTES,
         AllocationServer,
         IndexRegistry,
-        run_stdio,
     )
 
     if not args.index and args.index_dir is None:
@@ -795,15 +792,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.stdio and (args.tcp is not None or args.unix is not None):
-        print("error: --stdio is the blocking single-client loop and "
-              "cannot be combined with --tcp/--unix; run separate "
-              "processes to serve both", file=sys.stderr)
-        return 2
-    if args.metrics_tcp is not None and args.tcp is None \
-            and args.unix is None:
-        print("error: --metrics-tcp needs a concurrent endpoint "
-              "(--tcp/--unix); the stdio loop has no event loop to host "
-              "the exporter", file=sys.stderr)
+        print("error: --stdio serves until stdin closes and cannot be "
+              "combined with --tcp/--unix; run separate processes to "
+              "serve both", file=sys.stderr)
         return 2
     configure_logging(level=args.log_level, json_output=args.log_json)
     if args.no_metrics:
@@ -846,7 +837,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry,
         max_line_bytes=(args.max_line_bytes if args.max_line_bytes
                         else DEFAULT_MAX_LINE_BYTES),
-        coalesce=not args.no_coalesce,
         metrics=MetricsRegistry(enabled=not args.no_metrics),
         max_queue_depth=max_queue_depth,
         rate_limit=args.rate_limit,
@@ -856,22 +846,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout=(args.drain_timeout if args.drain_timeout is not None
                        else DEFAULT_DRAIN_TIMEOUT))
     hosted = ", ".join(registry.keys()) or "(empty registry)"
-    if args.tcp is None and args.unix is None:
-        print(f"serving indexes [{hosted}] — one JSON request per line on "
-              f"stdin: versioned "
-              f'{{"v": 1, "spec": {{...}}}} (see repro.api.protocol) or '
-              f'legacy {{"op": "query", "budgets": {{"i": 5}}}}',
-              file=sys.stderr, flush=True)
-        return run_stdio(server)
+    stdio = args.tcp is None and args.unix is None
 
     def _ready(endpoints):
         print(f"serving indexes [{hosted}] on "
               f"{' + '.join(endpoints)} — JSON lines, versioned "
-              f'{{"v": 1, "spec": {{...}}}} or legacy {{"op": ...}}; '
-              f"SIGHUP reloads the registry, SIGTERM drains and exits",
+              f'{{"v": 1, "spec": {{...}}}} (see repro.api.protocol) or '
+              f'legacy {{"op": "query", "budgets": {{"i": 5}}}}; SIGHUP '
+              f"reloads the registry, SIGTERM"
+              f"{' or EOF on stdin' if stdio else ''} drains and exits",
               file=sys.stderr, flush=True)
 
     asyncio.run(server.serve_forever(tcp=args.tcp, unix=args.unix,
+                                     stdio=stdio,
                                      metrics_tcp=args.metrics_tcp,
                                      ready=_ready))
     return 0

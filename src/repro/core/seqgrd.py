@@ -31,6 +31,10 @@ from repro.rrsets.imm import IMMOptions
 from repro.utility.model import UtilityModel
 from repro.utils.rng import RngLike, ensure_rng
 
+#: index sampler kinds a prebuilt-index SeqGRD run accepts (``None``:
+#: indexes whose manifest predates the sampler field)
+INDEX_SAMPLERS = (None, "marginal", "standard")
+
 
 def seqgrd(graph: DirectedGraph, model: UtilityModel,
            budgets: Mapping[str, int],
@@ -217,7 +221,7 @@ def _pool_from_index(graph: DirectedGraph, index, num_seeds: int,
             f"the index covers {index.num_nodes} nodes but the graph has "
             f"{graph.num_nodes}; rebuild the index")
     kind = index.meta.get("sampler")
-    if kind not in (None, "marginal", "standard"):
+    if kind not in INDEX_SAMPLERS:
         raise AlgorithmError(
             f"SeqGRD needs a marginal (or standard) RR-set index, "
             f"got {kind!r}")

@@ -36,6 +36,10 @@ from repro.rrsets.rrset import WeightedRRSampler
 from repro.utility.model import UtilityModel
 from repro.utils.rng import RngLike, derive_seed, ensure_rng
 
+#: index sampler kinds a prebuilt-index SupGRD run accepts (``None``:
+#: indexes whose manifest predates the sampler field)
+INDEX_SAMPLERS = (None, "weighted")
+
 
 def supgrd(graph: DirectedGraph, model: UtilityModel,
            budget: int,
@@ -210,7 +214,7 @@ def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
             f"the index covers {index.num_nodes} nodes but the graph has "
             f"{graph.num_nodes}; rebuild the index")
     kind = index.meta.get("sampler")
-    if kind not in (None, "weighted"):
+    if kind not in INDEX_SAMPLERS:
         raise AlgorithmError(
             f"SupGRD needs a weighted RR-set index, got {kind!r}")
     start = time.perf_counter()

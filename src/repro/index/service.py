@@ -10,20 +10,20 @@ selection (milliseconds).  :class:`AllocationService` is the serving layer:
   identical to direct runs;
 * repeated queries hit an LRU result cache, and plain top-``k`` selections
   additionally reuse one incrementally-extended greedy order (the greedy's
-  prefix property makes any smaller budget a prefix of a larger one);
-* :meth:`AllocationService.handle_request` speaks the JSON request/response
-  dialect of the ``repro serve`` stdin/stdout loop, and
-  :meth:`AllocationService.query_batch` answers many queries in one call.
+  prefix property makes any smaller budget a prefix of a larger one).
+
+The JSON-lines dialects of ``repro serve`` live in
+:class:`repro.serve.AllocationServer`, which answers both of them from
+:meth:`AllocationService.query`.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.allocation import Allocation
-from repro.exceptions import AlgorithmError, ReproError
+from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.index.frozen import FrozenRRIndex
 from repro.rrsets.coverage import SelectionResult, node_selection
@@ -82,16 +82,11 @@ class AllocationService:
         self._model = model
         self._fixed = fixed_allocation or Allocation.empty()
         self._cache: "OrderedDict[QueryKey, Dict[str, Any]]" = OrderedDict()
-        #: versioned-protocol responses, keyed by RunSpec.fingerprint()
-        self._spec_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._cache_size = max(0, int(cache_size))
         self._selection_strategy = selection_strategy
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._spec_hits = 0
-        self._spec_misses = 0
-        self._spec_evictions = 0
         # incrementally extended greedy order for plain selections
         self._selection: Optional[SelectionResult] = None
 
@@ -113,21 +108,12 @@ class AllocationService:
 
     @property
     def cache_stats(self) -> Dict[str, Any]:
-        """LRU statistics for both caches.
-
-        Both the query cache and the spec-fingerprint cache are bounded by
-        ``cache_size`` *entries* (the eviction counters below are the
-        regression surface for that cap); the spec cache reports its own
-        hit/miss/eviction counters under ``"spec_cache"``.
-        """
+        """Query-LRU statistics; the cache is bounded by ``cache_size``
+        *entries* (the eviction counter is the regression surface for
+        that cap)."""
         return {"hits": self._hits, "misses": self._misses,
                 "size": len(self._cache), "capacity": self._cache_size,
-                "evictions": self._evictions,
-                "spec_cache": {"hits": self._spec_hits,
-                               "misses": self._spec_misses,
-                               "size": len(self._spec_cache),
-                               "capacity": self._cache_size,
-                               "evictions": self._spec_evictions}}
+                "evictions": self._evictions}
 
     @property
     def memory_stats(self) -> Dict[str, Any]:
@@ -141,30 +127,6 @@ class AllocationService:
         return {"array_bytes": self._index.array_nbytes(),
                 "resident_bytes": self._index.resident_nbytes(),
                 "mmapped": self._index.mmapped}
-
-    # ------------------------------------------------------------------
-    # RunSpec-fingerprint cache (the versioned serve protocol's key)
-    # ------------------------------------------------------------------
-    def cached_spec_response(self, fingerprint: str
-                             ) -> Optional[Dict[str, Any]]:
-        """LRU lookup of a v1 response by :meth:`RunSpec.fingerprint`."""
-        cached = self._spec_cache.get(fingerprint)
-        if cached is not None:
-            self._spec_hits += 1
-            self._spec_cache.move_to_end(fingerprint)
-        else:
-            self._spec_misses += 1
-        return cached
-
-    def store_spec_response(self, fingerprint: str,
-                            payload: Dict[str, Any]) -> None:
-        """Cache a v1 response under its spec fingerprint (entry-capped)."""
-        if not self._cache_size:
-            return
-        self._spec_cache[fingerprint] = payload
-        while len(self._spec_cache) > self._cache_size:
-            self._spec_cache.popitem(last=False)
-            self._spec_evictions += 1
 
     def _ordered_selection(self, k: int) -> SelectionResult:
         """Greedy selection of ``k`` seeds, reusing the longest order so far.
@@ -208,15 +170,6 @@ class AllocationService:
                 self._cache.popitem(last=False)
                 self._evictions += 1
         return dict(payload, cached=False)
-
-    def query_batch(self, requests: Sequence[Mapping[str, Any]]
-                    ) -> List[Dict[str, Any]]:
-        """Answer many queries in one call (shares the cache and greedy
-        order across them, so sweeps over budgets are near-free)."""
-        return [self.query(algorithm=request.get("algorithm", "select"),
-                           budgets=request.get("budgets"),
-                           k=request.get("k", request.get("budget")))
-                for request in requests]
 
     # ------------------------------------------------------------------
     def _normalize(self, algorithm: str) -> str:
@@ -306,99 +259,6 @@ class AllocationService:
                 f"{algorithm} queries need the graph and utility model; "
                 f"construct the AllocationService with both (repro serve "
                 f"rebuilds them from the index manifest)")
-
-    # ------------------------------------------------------------------
-    # dynamic graphs: in-memory repair
-    # ------------------------------------------------------------------
-    def apply_delta(self, delta: Any) -> Dict[str, Any]:
-        """Repair the hosted index under a graph delta, in memory.
-
-        ``delta`` is a :class:`repro.dynamic.GraphDelta` or its dict
-        form.  The hosted index must be repairable (built keyed, see
-        :func:`repro.dynamic.build_repairable_index`) and the service
-        must hold its graph.  On success the service swaps to the
-        repaired index + drifted graph and drops every cache (query,
-        spec and incremental-selection state all keyed the old arrays).
-        Returns the repair report.  The swap is in-memory only — the
-        registry's ``apply_delta`` adds the persist-and-rescan step for
-        disk-backed indexes.
-        """
-        from repro.dynamic.delta import GraphDelta
-        from repro.dynamic.repair import RRRepairEngine
-
-        if self._graph is None:
-            raise AlgorithmError(
-                "apply-delta needs the graph; construct the "
-                "AllocationService with one (repro serve rebuilds it "
-                "from the index manifest)")
-        if not isinstance(delta, GraphDelta):
-            delta = GraphDelta.from_dict(delta)
-        engine = RRRepairEngine(self._index, self._graph, self._model)
-        outcome = engine.repair(delta)
-        self._index = outcome.index
-        self._graph = outcome.graph
-        self._cache.clear()
-        self._spec_cache.clear()
-        self._selection = None
-        return outcome.report.to_dict()
-
-    # ------------------------------------------------------------------
-    # the `repro serve` JSON-lines dialect
-    # ------------------------------------------------------------------
-    def handle_request(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Answer one JSON request from the serve loop.
-
-        Requests carrying a ``"v"`` key speak the versioned
-        :mod:`repro.api.protocol` dialect (``{"v": 1, "spec": {...}}``)
-        and are delegated to it.  Otherwise the legacy dialect applies:
-        ``{"op": "query", "algorithm": ..., "budgets": {...}}`` (the
-        default op) answers an allocation query; ``"stats"`` reports cache
-        statistics; ``"ping"`` checks liveness.  Errors are returned as
-        ``{"ok": false, "error": ...}`` rather than raised, so one bad
-        request does not kill the serving loop.
-        """
-        if "v" in request:
-            from repro.api.protocol import handle_versioned_request
-
-            return handle_versioned_request(self, request)
-        response: Dict[str, Any] = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        op = str(request.get("op", "query")).strip().lower()
-        started = time.perf_counter()
-        try:
-            if op == "ping":
-                response.update(ok=True, pong=True)
-            elif op == "stats":
-                response.update(ok=True, stats=self.cache_stats,
-                                memory=self.memory_stats,
-                                num_rr_sets=self._index.num_sets,
-                                num_nodes=self._index.num_nodes)
-            elif op == "query":
-                payload = self.query(
-                    algorithm=request.get(
-                        "algorithm",
-                        self._index.meta.get("algorithm", "select")),
-                    budgets=request.get("budgets"),
-                    k=request.get("k", request.get("budget")))
-                response.update(ok=True, **payload)
-            elif op == "apply-delta":
-                report = self.apply_delta(request.get("delta") or {})
-                response.update(ok=True, repair=report)
-            else:
-                raise AlgorithmError(
-                    f"unknown op {op!r}; expected query, apply-delta, "
-                    f"stats or ping")
-        except ReproError as error:
-            response.update(ok=False, error=str(error))
-        except (TypeError, ValueError, AttributeError, KeyError) as error:
-            # malformed request payloads (budgets of the wrong shape,
-            # non-integer k, ...) must not kill the serving loop
-            response.update(ok=False,
-                            error=f"malformed request: {error}")
-        response["latency_ms"] = round(
-            (time.perf_counter() - started) * 1e3, 3)
-        return response
 
 
 __all__ = ["SERVICE_ALGORITHMS", "AllocationService"]

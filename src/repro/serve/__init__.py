@@ -11,18 +11,20 @@ loop into a serving subsystem:
   index-file → :class:`~repro.index.service.AllocationService` loader.
 * :mod:`repro.serve.coalescer` — :class:`RequestCoalescer`, deduplicating
   in-flight identical-fingerprint specs and batching compatible queries
-  through :meth:`AllocationService.query_batch`, so N concurrent clients
-  asking about the same workload cost one selection run.
+  per index, so N concurrent clients asking about the same workload cost
+  one selection run.
 * :mod:`repro.serve.server` — :class:`AllocationServer`, the asyncio
-  JSON-lines server (TCP and unix socket) speaking the versioned
-  :mod:`repro.api.protocol` plus the legacy ``{"op": ...}`` dialect, with
-  typed error envelopes for malformed/oversized frames, ``server``
-  response metadata, a ``stats`` op, admission control (bounded queue +
-  per-connection rate limits, shed with ``overloaded`` envelopes),
-  per-request deadlines, derived health (``ok``/``degraded``/
-  ``draining``) and graceful drain on shutdown (stragglers answered
-  ``shutting-down``); :func:`run_stdio` is the synchronous stdin loop
-  over the same core.
+  JSON-lines server: one request pipeline for every transport (TCP, unix
+  socket, and stdio as one more reader on the same event loop) and both
+  dialects — the versioned :mod:`repro.api.protocol` and the legacy
+  ``{"op": ...}`` one — with typed error envelopes for malformed/oversized
+  frames, ``server`` response metadata, a ``stats`` op, admission control
+  (bounded queue + per-connection rate limits, shed with ``overloaded``
+  envelopes) and deadlines for the queries of both dialects, derived
+  health (``ok``/``degraded``/``draining``) and graceful drain on
+  shutdown (stragglers answered ``shutting-down``).
+* :mod:`repro.serve.stdio` — the stdin/stdout adapters that let the
+  stdio transport share the sockets' connection handler.
 * :mod:`repro.serve.client` — :class:`ResilientClient`, the asyncio
   JSON-lines client with capped exponential backoff + full jitter that
   honors ``retry_after_ms`` hints and retries the typed retryable
@@ -52,7 +54,6 @@ from repro.serve.server import (
     DEFAULT_MAX_QUEUE_DEPTH,
     HEALTH_STATES,
     AllocationServer,
-    run_stdio,
 )
 
 __all__ = [
@@ -69,5 +70,4 @@ __all__ = [
     "RetriesExhausted",
     "RetryPolicy",
     "load_service",
-    "run_stdio",
 ]

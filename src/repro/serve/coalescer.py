@@ -13,13 +13,13 @@ levels:
   execution;
 * **per-index batching** — distinct fingerprints destined for the same
   index that are pending in the same event-loop tick drain as one batch
-  through :func:`repro.api.protocol.execute_prepared_batch` (built on
-  :meth:`AllocationService.query_batch`), sharing the LRU and the
-  incrementally-extended greedy order in a single executor hop.
+  through :func:`repro.api.protocol.execute_prepared_batch`, sharing the
+  query LRU and the incrementally-extended greedy order in a single
+  executor hop; a request alone in its tick is a batch of one.
 
-Execution happens on a single worker thread (the services' caches and
-greedy orders are not thread-safe); the event loop only parses, validates
-and routes.  Every counter is exposed per index key via
+Every v1 request the server answers executes here, on a single worker
+thread (the services' caches and greedy orders are not thread-safe).
+Every counter is exposed per index key via
 :meth:`RequestCoalescer.counters` and surfaced by the ``stats`` op.
 """
 

@@ -392,15 +392,13 @@ class IndexRegistry:
     def apply_delta(self, key: str, delta: Any) -> Dict[str, Any]:
         """Repair a hosted index under a graph delta, without restart.
 
-        The disk-backed counterpart of
-        :meth:`repro.index.AllocationService.apply_delta` (the
-        ``{"op": "apply-delta"}`` server op lands here): loads the index
-        if needed, repairs it against the delta, atomically rewrites the
-        on-disk pair, then rescans — the scan sees the changed manifest
-        and drops the stale loaded service, so the next request serves
-        the repaired build (exactly the ``SIGHUP``/``reload``
-        semantics).  A zero-delta leaves the files untouched
-        (bit-identical by contract) and skips the rescan.
+        The ``{"op": "apply-delta"}`` server op lands here: loads the
+        index if needed, repairs it against the delta, atomically
+        rewrites the on-disk pair, then rescans — the scan sees the
+        changed manifest and drops the stale loaded service, so the next
+        request serves the repaired build (exactly the
+        ``SIGHUP``/``reload`` semantics).  A zero-delta leaves the files
+        untouched (bit-identical by contract) and skips the rescan.
         """
         from repro.dynamic.delta import GraphDelta
         from repro.dynamic.repair import RRRepairEngine, save_repaired
@@ -424,8 +422,9 @@ class IndexRegistry:
                   zero_delta=outcome.report.zero_delta)
         return summary
 
-    def resolve_spec(self, spec: RunSpec) -> Tuple[str, LoadedService]:
-        """Route a spec to a compatible index (loading it if needed).
+    def resolve_spec(self, spec: RunSpec) -> Tuple[str, AllocationService]:
+        """Route a spec to a compatible index (loading it if needed);
+        returns the index key and its service.
 
         Raises
         ------
@@ -442,10 +441,17 @@ class IndexRegistry:
                                   "build one with `repro index build`")
         mismatches: List[str] = []
         for key, entry in candidates:
-            reason = index_mismatch(spec, entry.meta)
+            meta = entry.meta
+            reason = index_mismatch(spec, meta)
             if reason is None:
-                entry.requests += 1
-                return key, self.get(key)
+                service = self.get(key).service
+                built = service.index.meta
+                # a hot reload may have swapped the build since the check
+                if built.get("fingerprint") != meta.get("fingerprint"):
+                    reason = index_mismatch(spec, built)
+                if reason is None:
+                    entry.requests += 1
+                    return key, service
             mismatches.append(f"[{key}] {reason}")
         raise IndexStoreError("; ".join(mismatches))
 
@@ -491,11 +497,6 @@ class IndexRegistry:
                     service = entry.loaded.service
                     cache = dict(service.cache_stats)
                     cache["hit_rate"] = cache_hit_rate(cache)
-                    spec_cache = cache.get("spec_cache")
-                    if isinstance(spec_cache, Mapping):
-                        spec_cache = dict(spec_cache)
-                        spec_cache["hit_rate"] = cache_hit_rate(spec_cache)
-                        cache["spec_cache"] = spec_cache
                     row["cache"] = cache
                     row.update(service.memory_stats)
                 per_index[key] = row

@@ -1,63 +1,60 @@
 """Concurrent JSON-lines allocation serving (TCP, unix socket, stdio).
 
-:class:`AllocationServer` is the serving layer on top of an
-:class:`~repro.serve.registry.IndexRegistry`:
+:class:`AllocationServer` serves the indexes of an
+:class:`~repro.serve.registry.IndexRegistry` through one request
+pipeline, whichever transport carried the frame — TCP, a unix socket,
+or stdio, which is one more reader on the same event loop — and
+whichever dialect it speaks:
 
-* one JSON request per line, one JSON response per line — the framing of
-  the original ``repro serve`` stdin loop, now multi-client;
-* the versioned :mod:`repro.api.protocol` dialect is routed to the
-  compatible index, deduplicated and batched through the
-  :class:`~repro.serve.coalescer.RequestCoalescer`, and executed on a
-  single worker thread, so responses stay **bit-identical** to a direct
-  ``repro run`` of the same spec;
-* the legacy ``{"op": ...}`` dialect is preserved (``ping``, ``query``,
-  ``stats``) and extended with ``reload`` (hot reload, also on
-  ``SIGHUP``);
-* malformed input — bad JSON, invalid UTF-8, oversized (> 1 MiB by
-  default) or truncated frames — is answered with a typed error envelope
-  and never crashes or hangs the loop;
-* **admission control** keeps overload survivable instead of letting the
-  queue grow without bound: when the coalescer holds ``max_queue_depth``
-  distinct in-flight specs, new work is *shed* with a typed
-  ``overloaded`` envelope carrying the observed ``queue_depth`` and a
-  ``retry_after_ms`` backoff hint; a per-connection token bucket
-  (``rate_limit`` requests/s, ``rate_burst`` burst) sheds abusive
-  clients the same way (``ping``/``stats``/``metrics``/``reload`` stay
-  exempt so the ops surface works *during* overload);
-* **deadlines**: a request may carry ``deadline_ms`` (milliseconds from
-  frame receipt; clamped to ``max_deadline_ms``, defaulted from
-  ``default_deadline_ms``), propagated through coalescer batching into
-  :func:`~repro.api.protocol.execute_prepared_batch` — an expired
-  request is answered ``deadline-exceeded`` *before* burning worker
-  time;
-* **health** is derived, not asserted: ``ok`` → ``degraded`` (queue near
-  capacity or recent sheds) → ``draining``, surfaced by
-  :meth:`AllocationServer.health` (the ``/healthz`` exporter answers 503
-  for ``degraded``/``draining``), the ``stats`` op and the
-  ``repro_health_state`` gauge;
-* successful responses carry a ``"server"`` object::
+1. **frame and parse** — one JSON request per line, one JSON response
+   per line; bad JSON, invalid UTF-8, oversized (> 1 MiB by default) or
+   truncated frames get a typed error envelope and never crash or hang
+   the loop;
+2. **drain, rate-limit and admission** — while draining, frames are
+   answered ``shutting-down``; a per-connection token bucket
+   (``rate_limit`` requests/s, ``rate_burst`` burst) and a bound of
+   ``max_queue_depth`` distinct in-flight specs shed work with a typed
+   ``overloaded`` envelope carrying ``queue_depth`` and a
+   ``retry_after_ms`` hint;
+3. **deadline** — ``deadline_ms`` (from frame receipt; clamped to
+   ``max_deadline_ms``, defaulted from ``default_deadline_ms``) is
+   checked when execution starts: an expired request is answered
+   ``deadline-exceeded`` *before* burning worker time;
+4. **route and validate** on the single worker thread, so lazy index
+   loads never block the loop;
+5. **execute** — v1 requests through the
+   :class:`~repro.serve.coalescer.RequestCoalescer` (deduplicated and
+   batched per index; a lone request is a batch of one), bit-identical
+   to a direct ``repro run`` of the same spec; a legacy op routes,
+   validates and executes in one worker-thread crossing;
+6. one mapping from errors to envelopes;
+7. the dialect's response builder: :func:`~repro.api.protocol.build_response`
+   for ``{"v": 1, ...}``, the legacy shape for ``{"op": ...}`` (``query``,
+   ``ping``, ``stats``, ``metrics``, ``reload`` — also on ``SIGHUP`` —
+   and ``apply-delta``);
+8. one span and metrics record per frame.
 
-      {"...": "...", "server": {"index": "nethept-c1", "queue_depth": 3,
-                                "coalesced": true, "batch_size": 8,
-                                "in_flight": 12}}
+Queries of both dialects get admission control and deadlines; the ops
+are exempt from both, so the ops surface works *during* overload.
+**Health** is derived — ``ok`` → ``degraded`` (queue near capacity or
+recent sheds) → ``draining`` — and surfaced by
+:meth:`AllocationServer.health` (``/healthz`` answers 503 unless ``ok``),
+the ``stats`` op and the ``repro_health_state`` gauge.  Served queries
+carry a ``"server"`` object (``index``, ``queue_depth``, ``coalesced``,
+``batch_size``, ``in_flight``).  :meth:`AllocationServer.shutdown`
+drains: accepting stops, in-flight requests finish and flush, then
+connections close; those still busy when ``drain_timeout`` expires get a
+typed ``shutting-down`` envelope first.  The :mod:`repro.faults` sites
+``stall-write`` and ``disconnect`` hook the response write.
 
-* :meth:`AllocationServer.shutdown` drains: accepting stops, in-flight
-  requests finish and flush their responses, then connections close;
-  connections still busy when ``drain_timeout`` expires are answered
-  with a typed ``shutting-down`` envelope before the close (never
-  silently abandoned), as are frames that arrive while draining.
-
-The :mod:`repro.faults` sites ``stall-write`` and ``disconnect`` hook the
-response-write path (chaos testing); disarmed they cost one global read.
-
-The same dispatch core backs the synchronous stdio loop
-(:func:`run_stdio`), so ``repro serve --stdio`` and the concurrent
-endpoints answer identically.
+:meth:`AllocationServer.dispatch_line` drives the same pipeline
+synchronously for one frame (tests, benchmarks, embedding).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import sys
@@ -72,27 +69,28 @@ from typing import (
     List,
     Mapping,
     Optional,
-    TextIO,
     Tuple,
     Union,
 )
 
 from repro import faults
 from repro.api.protocol import (
-    PROTOCOL_VERSION,
-    SERVABLE_ALGORITHMS,
     build_response,
     error_response,
-    execute_prepared,
     prepare_request,
 )
-from repro.api.specs import RunSpec
-from repro.exceptions import DeadlineExceeded, ReproError, SpecError
+from repro.exceptions import (
+    AlgorithmError,
+    DeadlineExceeded,
+    IndexStoreError,
+    ReproError,
+)
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import Trace
 from repro.serve.coalescer import RequestCoalescer
 from repro.serve.registry import IndexRegistry, LoadedService, cache_hit_rate
+from repro.serve.stdio import StdinReader, StdoutWriter
 
 _LOG = get_logger("repro.serve.server")
 
@@ -111,10 +109,18 @@ DEFAULT_DRAIN_TIMEOUT = 10.0
 #: sliding window (seconds) over which recent sheds mark health degraded
 _HEALTH_WINDOW_S = 10.0
 
-#: legacy ops exempt from admission control — the ops surface must keep
-#: answering while the serving path is shedding
-_OPS_EXEMPT = frozenset({"ping", "stats", "metrics", "reload",
-                         "apply-delta"})
+#: every legacy op the server answers
+_LEGACY_OPS = ("query", "ping", "stats", "metrics", "reload", "apply-delta")
+
+#: legacy ops exempt from admission control and deadlines — the ops
+#: surface must keep answering while the serving path is shedding
+_OPS_EXEMPT = frozenset(_LEGACY_OPS[1:])
+
+#: what a failed legacy op may raise: library errors, and the type/value
+#: errors of malformed payloads (budgets of the wrong shape, non-integer
+#: k, ...) — answered, never fatal to the connection
+_LEGACY_ERRORS = (ReproError, TypeError, ValueError, AttributeError,
+                  KeyError)
 
 #: health states in severity order (gauge value = index)
 HEALTH_STATES = ("ok", "degraded", "draining")
@@ -154,9 +160,6 @@ class AllocationServer:
         Frames longer than this are answered with an
         ``oversized-request`` envelope (the oversized input is discarded
         up to its newline, so the connection resynchronizes).
-    coalesce:
-        Disable to execute every request individually (the benchmark's
-        "coalesced vs not" axis); dedup/batching is on by default.
     max_batch:
         Forwarded to :class:`RequestCoalescer`.
     metrics:
@@ -185,7 +188,6 @@ class AllocationServer:
 
     def __init__(self, registry: IndexRegistry, *,
                  max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                 coalesce: bool = True,
                  max_batch: int = 64,
                  metrics: Optional[MetricsRegistry] = None,
                  max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
@@ -196,7 +198,6 @@ class AllocationServer:
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT) -> None:
         self._registry = registry
         self._max_line_bytes = int(max_line_bytes)
-        self._coalesce = bool(coalesce)
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve")
@@ -223,6 +224,8 @@ class AllocationServer:
         self._draining = False
         self._busy = 0
         self._idle: Optional[asyncio.Event] = None
+        #: event loop dispatch_line drives the pipeline on (lazily made)
+        self._sync_loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = time.time()
         self._requests = 0
         self._errors = 0
@@ -238,10 +241,11 @@ class AllocationServer:
 
     def _register_instruments(self) -> None:
         m = self._metrics
-        # hot-path handles, bound once
+        # hot-path handles, bound once (span stages on first use)
         self._m_latency = m.histogram(
             "repro_request_latency_seconds",
             "End-to-end request latency (frame receipt to response)")
+        self._m_spans: Dict[str, Any] = {}
         self._m_unserializable = m.counter(
             "repro_unserializable_responses_total",
             "Responses that needed the default=str JSON fallback")
@@ -336,23 +340,38 @@ class AllocationServer:
         return self._max_line_bytes
 
     # ------------------------------------------------------------------
-    # recording (the one funnel every answered frame goes through)
+    # recording (stage 8: the one funnel every answered frame goes through)
     # ------------------------------------------------------------------
     def _record_response(self, dialect: str, response: Mapping[str, Any],
-                         latency_s: float,
-                         trace: Optional[Trace] = None) -> None:
+                         trace: Trace) -> None:
         if not self._metrics.enabled:
             return
         outcome = "ok" if response.get("ok", True) else "error"
         self._metrics.counter(
             "repro_requests_total", "Requests answered, by dialect/outcome",
             dialect=dialect, outcome=outcome).inc()
-        self._m_latency.observe(latency_s)
-        if trace is not None:
-            for name, seconds in trace.spans():
-                self._metrics.histogram(
+        self._m_latency.observe(trace.elapsed())
+        for name, seconds in trace.spans():
+            span = self._m_spans.get(name)
+            if span is None:
+                span = self._m_spans[name] = self._metrics.histogram(
                     "repro_span_seconds", "Per-stage request span timings",
-                    stage=name).observe(seconds)
+                    stage=name)
+            span.observe(seconds)
+
+    def _record_resync(self, envelope: Mapping[str, Any]) -> None:
+        """Count + log one malformed/oversized frame resynchronization."""
+        error = envelope.get("error") or {}
+        code = str(error.get("code", "")) if isinstance(error, Mapping) \
+            else str(error)
+        reason = "oversized" if code == "oversized-request" else "malformed"
+        if self._metrics.enabled:
+            self._metrics.counter(
+                "repro_resync_total",
+                "Frames discarded to resynchronize the stream",
+                reason=reason).inc()
+        log_event(_LOG, logging.WARNING, "frame-resync", reason=reason,
+                  code=code)
 
     def encode_response(self, response: Mapping[str, Any]) -> str:
         """Serialize one response frame.
@@ -373,7 +392,7 @@ class AllocationServer:
             return json.dumps(response, default=str)
 
     # ------------------------------------------------------------------
-    # framing / parsing (shared by stdio and the async endpoints)
+    # stage 1: framing / parsing
     # ------------------------------------------------------------------
     def parse_line(self, raw: Union[str, bytes]
                    ) -> Tuple[Optional[Dict[str, Any]],
@@ -425,103 +444,252 @@ class AllocationServer:
             f"{self._max_line_bytes} bytes")
 
     # ------------------------------------------------------------------
-    # request routing
+    # the request pipeline: every transport, both dialects
     # ------------------------------------------------------------------
-    def _resolve_versioned(self, request: Mapping[str, Any]
-                           ) -> Union[Tuple[str, LoadedService, RunSpec],
-                                      Dict[str, Any]]:
-        """Route a versioned request to its index, or an error envelope.
+    def dispatch_line(self, raw: Union[str, bytes]
+                      ) -> Optional[Dict[str, Any]]:
+        """Answer one frame synchronously; ``None`` for blank lines.
 
-        Returns ``(key, loaded, spec)`` so downstream stages can skip
-        re-parsing the spec."""
-        request_id = request.get("id")
-        version = request.get("v")
-        if version != PROTOCOL_VERSION:
-            return error_response(
-                "unsupported-version",
-                f"protocol version {version!r} is not supported; "
-                f"supported versions: [{PROTOCOL_VERSION}]", request_id)
-        spec_dict = request.get("spec")
-        if not isinstance(spec_dict, Mapping):
-            return error_response(
-                "malformed-request",
-                "a v1 request needs a 'spec' object: "
-                '{"v": 1, "spec": {"algorithm": ..., "workload": ..., '
-                '"engine": ...}}', request_id)
-        try:
-            spec = RunSpec.from_dict(spec_dict)
-        except SpecError as error:
-            return error_response("invalid-spec", str(error), request_id)
-        if spec.algorithm not in SERVABLE_ALGORITHMS:
-            return error_response(
-                "unsupported-algorithm",
-                f"{spec.algorithm} cannot be served from a prebuilt index; "
-                f"servable algorithms: {list(SERVABLE_ALGORITHMS)}",
-                request_id)
-        try:
-            key, loaded = self._registry.resolve_spec(spec)
-        except ReproError as error:
-            return error_response(
-                "incompatible-spec",
-                f"no hosted index is compatible with the spec: {error}",
-                request_id)
-        return key, loaded, spec
-
-    def _resolve_and_prepare(self, request: Mapping[str, Any],
-                             deadline: Optional[float] = None):
-        """Resolve + validate one versioned request (worker thread).
-
-        Returns ``(key, loaded, prepared)`` or an error envelope.  Lives
-        on the worker thread so lazy index loads never block the event
-        loop.
+        Drives the pipeline every transport uses to completion on a
+        private event loop, for callers that have none (tests,
+        benchmarks, embedding) — it cannot run inside a running loop.
         """
-        resolved = self._resolve_versioned(request)
-        if isinstance(resolved, dict):
-            return resolved
-        key, loaded, spec = resolved
-        prepared = prepare_request(loaded.service, request, spec=spec,
-                                   deadline=deadline)
-        if isinstance(prepared, dict):
-            return prepared
-        return key, loaded, prepared
+        answered: List[Dict[str, Any]] = []
+
+        async def capture(response: Dict[str, Any]) -> bool:
+            answered.append(response)
+            return True
+
+        if self._sync_loop is None:
+            self._sync_loop = asyncio.new_event_loop()
+        self._sync_loop.run_until_complete(self._serve_frame(raw, capture))
+        return answered[0] if answered else None
+
+    async def _serve_frame(self, frame: Union[str, bytes, None], write,
+                           bucket: Optional[_TokenBucket] = None) -> bool:
+        """Answer one frame through every stage of the pipeline.
+
+        ``frame`` is ``None`` for an oversized frame the framer already
+        discarded; ``await write(response)`` delivers the answer and
+        returns ``False`` once the connection is gone.  Returns whether
+        the connection should keep reading.
+        """
+        trace = Trace()  # minted at frame receipt
+        if frame is None:
+            request, response = None, self._oversized_envelope()
+        else:
+            with trace.span("parse"):
+                request, response = self.parse_line(frame)
+        if request is None:
+            if response is None:
+                return True  # blank line
+            self._requests += 1
+            self._errors += 1
+            self._record_resync(response)
+            dialect = "invalid"
+        else:
+            dialect = "v1" if "v" in request else "legacy"
+        # a request arriving while draining is answered, then the
+        # connection closes
+        closing = self._draining and request is not None
+        # busy covers handling AND the response write, so a draining
+        # shutdown never drops a computed response
+        self._busy += 1
+        if self._idle is not None:
+            self._idle.clear()
+        try:
+            if request is not None:
+                response = await self._answer(request, trace, bucket)
+            with trace.span("respond"):
+                alive = await write(response)
+            self._record_response(dialect, response, trace)
+        finally:
+            self._busy -= 1
+            if self._busy == 0 and self._idle is not None:
+                self._idle.set()
+        return alive and not closing
+
+    async def _answer(self, request: Mapping[str, Any], trace: Trace,
+                      bucket: Optional[_TokenBucket]) -> Dict[str, Any]:
+        """Stages 2–7 for one parsed request of either dialect."""
+        self._requests += 1
+        request_id = request.get("id")
+        op = None if "v" in request else \
+            str(request.get("op", "query")).strip().lower()
+        # 2. drain, rate-limit and admission checks
+        if self._draining:
+            # answer, don't abandon: a typed envelope tells the client to
+            # retry against another replica
+            self._note_shed("shutting-down")
+            return self._shutting_down_envelope(request_id)
+        deadline = None
+        if op not in _OPS_EXEMPT:
+            shed = self._admission_shed(request_id, bucket)
+            if shed is not None:
+                return shed
+            # 3. deadline (checked again when execution starts)
+            deadline, envelope = self._resolve_deadline(request, trace)
+            if envelope is not None:
+                self._errors += 1
+                return envelope
+        loop = asyncio.get_running_loop()
+        started = time.perf_counter()
+        if op is not None:
+            # 4.+5. a legacy op routes, validates and executes in one
+            # worker-thread crossing
+            try:
+                key, body = await loop.run_in_executor(
+                    self._executor, self._run_legacy, request, op,
+                    deadline, trace, started)
+            except _LEGACY_ERRORS as error:
+                return self._error_envelope(error, request, started)
+            return self._legacy_response(request, body, key)
+        # 4. route + validate on the worker thread (lazy index loads
+        # never block the loop)
+        outcome = await loop.run_in_executor(
+            self._executor, prepare_request, request,
+            self._registry.resolve_spec, deadline)
+        # includes the executor hop — what the request actually waited
+        trace.add("validate", time.perf_counter() - started)
+        if isinstance(outcome, dict):
+            self._errors += 1
+            return outcome
+        key, service, prepared = outcome
+        # 5. execute through the coalescer (a lone request is a batch of
+        # one)
+        submitted = time.perf_counter()
+        result, coalesced, batch_size, depth, exec_s = \
+            await self._coalescer.submit(key, service, prepared)
+        # the batch's worker-thread time is shared by its members; the
+        # rest of the wait is queueing (tick gather + executor backlog)
+        trace.add("queue",
+                  max(0.0, time.perf_counter() - submitted - exec_s))
+        trace.add("execute", exec_s)
+        if exec_s > 0.0:
+            # EWMA of per-batch worker time — feeds retry_after_ms hints
+            self._avg_exec_s += 0.2 * (exec_s - self._avg_exec_s)
+        if isinstance(result, ReproError):
+            return self._error_envelope(result, request, started)
+        # 7. the v1 response builder
+        response = build_response(prepared, result, started, trace=trace)
+        response["server"] = self._server_meta(
+            key, coalesced=coalesced, batch_size=batch_size,
+            queue_depth=depth)
+        return response
+
+    def _run_legacy(self, request: Mapping[str, Any], op: str,
+                    deadline: Optional[float], trace: Trace,
+                    submitted: float) -> Tuple[Optional[str],
+                                               Dict[str, Any]]:
+        """Stages 4–5 of a legacy op: its one worker-thread crossing.
+
+        Returns ``(key, body)`` — the index that served a query (for the
+        ``server`` object) and the op's response body; raises what
+        failed the op.
+        """
+        started = time.perf_counter()
+        trace.add("queue", started - submitted)
+        if op == "ping":
+            return None, {"ok": True, "pong": True, "latency_ms": 0.0}
+        if op == "stats":
+            return None, self._stats_body()
+        if op == "metrics":
+            return None, {"ok": True, "metrics": self.metrics_payload()}
+        if op == "reload":
+            return None, {"ok": True, "reload": self._registry.reload()}
+        if op not in _LEGACY_OPS:
+            raise AlgorithmError(f"unknown op {op!r}; expected one of "
+                                 f"{', '.join(_LEGACY_OPS)}")
+        # spans timed inline, not with trace.span: this is the hot path
+        # of every legacy query
+        key, loaded = self._legacy_target(request)
+        routed = time.perf_counter()
+        trace.add("validate", routed - started)
+        if op == "apply-delta":
+            # repair → atomic rewrite → rescan: the server picks up the
+            # repaired build without restart while in-flight queries keep
+            # their (still-mapped) old arrays
+            body = dict(ok=True, **self._registry.apply_delta(
+                key, request.get("delta") or {}))
+            served: Optional[str] = None
+        else:
+            if deadline is not None and routed >= deadline:
+                raise DeadlineExceeded(
+                    "deadline expired before execution started")
+            service = loaded.service
+            body = dict(ok=True, **service.query(
+                algorithm=request.get(
+                    "algorithm",
+                    service.index.meta.get("algorithm", "select")),
+                budgets=request.get("budgets"),
+                k=request.get("k", request.get("budget"))))
+            trace.add("execute", time.perf_counter() - routed)
+            served = key
+        body["latency_ms"] = round((time.perf_counter() - started) * 1e3, 3)
+        return served, body
 
     def _legacy_target(self, request: Mapping[str, Any]
-                       ) -> Union[Tuple[str, LoadedService],
-                                  Dict[str, Any]]:
-        """The service a legacy (un-versioned) op runs against.
+                       ) -> Tuple[str, LoadedService]:
+        """The index a legacy op runs against.
 
         A multi-index registry needs the request to name its index
         (``{"op": "query", "index": "nethept-c1", ...}``); with a single
         hosted index the request routes there implicitly, preserving the
         original one-index dialect.
         """
+        named = request.get("index")
+        key = str(named) if named is not None else self._registry.default_key
+        if key is None:
+            hosted = list(self._registry.keys())
+            raise IndexStoreError(
+                f"the registry hosts {len(hosted)} indexes; name one with "
+                f'{{"index": ...}} (hosted: {hosted})')
+        return key, self._registry.get(key)
+
+    def _error_envelope(self, error: Exception, request: Mapping[str, Any],
+                        started: float) -> Dict[str, Any]:
+        """Stage 6: the one mapping from a failed request to its answer.
+
+        An expired deadline is ``deadline-exceeded`` in either dialect; a
+        failed v1 request is ``invalid-spec``; a failed legacy op keeps
+        the legacy ``{"ok": false, "error": "<message>"}`` form.
+        """
+        request_id = request.get("id")
+        if isinstance(error, DeadlineExceeded):
+            self._note_deadline_expired()
+            return error_response("deadline-exceeded", str(error),
+                                  request_id)
+        self._errors += 1
+        if "v" in request:
+            return error_response("invalid-spec", str(error), request_id)
+        message = str(error) if isinstance(error, ReproError) \
+            else f"malformed request: {error}"
+        return self._legacy_response(request, {
+            "ok": False, "error": message,
+            "latency_ms": round((time.perf_counter() - started) * 1e3, 3)})
+
+    def _legacy_response(self, request: Mapping[str, Any],
+                         body: Mapping[str, Any],
+                         key: Optional[str] = None) -> Dict[str, Any]:
+        """Stage 7 for the legacy dialect: the request ``id``, the op's
+        body, and the ``server`` object on a served query."""
         response: Dict[str, Any] = {}
         if "id" in request:
             response["id"] = request["id"]
-        named = request.get("index")
-        if named is not None:
-            try:
-                return str(named), self._registry.get(str(named))
-            except ReproError as error:
-                response.update(ok=False, error=str(error))
-                return response
-        key = self._registry.default_key
-        if key is None:
-            response.update(
-                ok=False,
-                error=f"the registry hosts "
-                      f"{len(self._registry.keys())} indexes; name one "
-                      f'with {{"index": ...}} '
-                      f"(hosted: {list(self._registry.keys())})")
-            return response
-        try:
-            return key, self._registry.get(key)
-        except ReproError as error:
-            response.update(ok=False, error=str(error))
-            return response
+        response.update(body)
+        if key is not None:
+            response["server"] = self._server_meta(key)
+        return response
+
+    def _server_meta(self, key: Optional[str] = None,
+                     coalesced: bool = False, batch_size: int = 1,
+                     queue_depth: int = 0) -> Dict[str, Any]:
+        return {"index": key, "queue_depth": queue_depth,
+                "coalesced": coalesced, "batch_size": batch_size,
+                "in_flight": self._busy}
 
     # ------------------------------------------------------------------
-    # stats / reload ops
+    # ops payloads
     # ------------------------------------------------------------------
     def stats_payload(self) -> Dict[str, Any]:
         """Server + registry + coalescer + metrics statistics (the
@@ -536,7 +704,6 @@ class AllocationServer:
                 "in_flight": self._busy,
                 "queue_depth": self._coalescer.queue_depth,
                 "max_line_bytes": self._max_line_bytes,
-                "coalescing": self._coalesce,
                 "draining": self._draining,
                 "metrics_enabled": self._metrics.enabled,
                 "health": self.health_state(),
@@ -572,83 +739,22 @@ class AllocationServer:
             "process": get_metrics().summary(),
         }
 
-    def _handle_metrics_op(self, request: Mapping[str, Any]
-                           ) -> Dict[str, Any]:
-        response: Dict[str, Any] = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        response.update(ok=True, metrics=self.metrics_payload())
-        return response
-
-    def _handle_stats_op(self, request: Mapping[str, Any]
-                         ) -> Dict[str, Any]:
-        response: Dict[str, Any] = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        response.update(ok=True, **self.stats_payload())
-        # one-index compatibility: surface the flat single-service shape
-        # the original `stats` op answered with (without forcing a load)
+    def _stats_body(self) -> Dict[str, Any]:
+        """The ``stats`` op body: :meth:`stats_payload` plus, for a
+        single loaded index, the flat shape the original one-index
+        ``stats`` op answered with (without forcing a load)."""
+        body: Dict[str, Any] = dict(ok=True, **self.stats_payload())
         key = self._registry.default_key
         if key is not None:
             loaded = self._registry.entry(key).loaded
             if loaded is not None:
-                response.setdefault("stats", loaded.service.cache_stats)
-                response.setdefault("num_rr_sets",
-                                    loaded.service.index.num_sets)
-                response.setdefault("num_nodes",
-                                    loaded.service.index.num_nodes)
-        return response
-
-    def _handle_reload_op(self, request: Mapping[str, Any]
-                          ) -> Dict[str, Any]:
-        response: Dict[str, Any] = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        try:
-            response.update(ok=True, reload=self._registry.reload())
-        except ReproError as error:
-            response.update(ok=False, error=str(error))
-        return response
-
-    def _handle_apply_delta_op(self, request: Mapping[str, Any]
-                               ) -> Dict[str, Any]:
-        """Repair a hosted index in place (``{"op": "apply-delta"}``).
-
-        Routes like any legacy op (``index`` key, or the single hosted
-        index), then delegates to :meth:`IndexRegistry.apply_delta`:
-        repair → atomic rewrite → rescan, so the server picks up the
-        repaired build without restart while in-flight queries keep
-        their (still-mapped) old arrays.
-        """
-        target = self._legacy_target(request)
-        if isinstance(target, dict):
-            self._errors += 1
-            return target
-        key, _loaded = target
-        response: Dict[str, Any] = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        started = time.perf_counter()
-        try:
-            summary = self._registry.apply_delta(
-                key, request.get("delta") or {})
-            response.update(ok=True, **summary)
-        except ReproError as error:
-            self._errors += 1
-            response.update(ok=False, error=str(error))
-        response["latency_ms"] = round(
-            (time.perf_counter() - started) * 1e3, 3)
-        return response
-
-    def _server_meta(self, key: Optional[str] = None,
-                     coalesced: bool = False, batch_size: int = 1,
-                     queue_depth: int = 0) -> Dict[str, Any]:
-        return {"index": key, "queue_depth": queue_depth,
-                "coalesced": coalesced, "batch_size": batch_size,
-                "in_flight": self._busy}
+                body.setdefault("stats", loaded.service.cache_stats)
+                body.setdefault("num_rr_sets", loaded.service.index.num_sets)
+                body.setdefault("num_nodes", loaded.service.index.num_nodes)
+        return body
 
     # ------------------------------------------------------------------
-    # admission control / deadlines / health
+    # stages 2–3: admission control / deadlines; health
     # ------------------------------------------------------------------
     def _note_shed(self, reason: str) -> None:
         self._errors += 1
@@ -676,15 +782,26 @@ class AllocationServer:
         eta = depth * max(self._avg_exec_s, 0.005)
         return int(1000.0 * min(5.0, max(0.05, eta)))
 
-    def _admission_shed(self, request_id: Any) -> Optional[Dict[str, Any]]:
-        """The ``overloaded`` envelope when the queue is full, else
-        ``None`` (admit)."""
+    def _admission_shed(self, request_id: Any,
+                        bucket: Optional[_TokenBucket]
+                        ) -> Optional[Dict[str, Any]]:
+        """The ``overloaded`` envelope when the connection's token bucket
+        is empty or the queue is full, else ``None`` (admit)."""
+        if bucket is not None:
+            wait_s = bucket.try_acquire()
+            if wait_s > 0.0:
+                self._note_shed("rate-limit")
+                return error_response(
+                    "overloaded",
+                    f"connection exceeded its {self._rate_limit:g} req/s "
+                    f"budget", request_id,
+                    queue_depth=self._coalescer.queue_depth,
+                    retry_after_ms=int(wait_s * 1000.0) + 1)
         if self._max_queue_depth is None:
             return None
-        depth = self._coalescer.queue_depth if self._coalesce else self._busy
+        depth = self._coalescer.queue_depth
         if depth < self._max_queue_depth:
             return None
-        self._requests += 1
         self._note_shed("queue-full")
         return error_response(
             "overloaded",
@@ -703,20 +820,14 @@ class AllocationServer:
         ``max_deadline_ms`` when those are configured.
         """
         raw = request.get("deadline_ms")
-        if raw is None:
-            ms = self._default_deadline_ms
-        elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        if raw is not None and (isinstance(raw, bool)
+                                or not isinstance(raw, (int, float))
+                                or not 0.0 < raw < float("inf")):
             return None, error_response(
                 "malformed-request",
-                f"'deadline_ms' must be a positive number of "
+                f"'deadline_ms' must be a positive finite number of "
                 f"milliseconds, got {raw!r}", request.get("id"))
-        else:
-            ms = float(raw)
-            if not (ms > 0.0) or ms != ms or ms == float("inf"):
-                return None, error_response(
-                    "malformed-request",
-                    f"'deadline_ms' must be a positive finite number of "
-                    f"milliseconds, got {raw!r}", request.get("id"))
+        ms = self._default_deadline_ms if raw is None else float(raw)
         if ms is None:
             return None, None
         if self._max_deadline_ms is not None:
@@ -749,199 +860,15 @@ class AllocationServer:
         }
 
     # ------------------------------------------------------------------
-    # synchronous dispatch (stdio loop)
+    # connections (TCP, unix socket, stdio)
     # ------------------------------------------------------------------
-    def dispatch(self, request: Mapping[str, Any],
-                 trace: Optional[Trace] = None) -> Dict[str, Any]:
-        """Answer one parsed request synchronously (no coalescing)."""
-        self._requests += 1
-        if "v" in request:
-            started = time.perf_counter()
-            if trace is None:
-                trace = Trace()
-            deadline, envelope = self._resolve_deadline(request, trace)
-            if envelope is not None:
-                self._errors += 1
-                return envelope
-            with trace.span("validate"):
-                resolved = self._resolve_versioned(request)
-                if isinstance(resolved, dict):
-                    self._errors += 1
-                    return resolved
-                key, loaded, spec = resolved
-                prepared = prepare_request(loaded.service, request,
-                                           spec=spec, deadline=deadline)
-            if isinstance(prepared, dict):
-                self._errors += 1
-                return prepared
-            try:
-                with trace.span("execute"):
-                    payload = execute_prepared(loaded.service, prepared)
-            except DeadlineExceeded as error:
-                self._note_deadline_expired()
-                return error_response("deadline-exceeded", str(error),
-                                      prepared.request_id)
-            except ReproError as error:
-                self._errors += 1
-                return error_response("invalid-spec", str(error),
-                                      prepared.request_id)
-            response = build_response(prepared, payload, started,
-                                      trace=trace)
-            response["server"] = self._server_meta(key)
-            return response
-        op = str(request.get("op", "query")).strip().lower()
-        if op == "ping":
-            response = {}
-            if "id" in request:
-                response["id"] = request["id"]
-            response.update(ok=True, pong=True, latency_ms=0.0)
-            return response
-        if op == "stats":
-            return self._handle_stats_op(request)
-        if op == "metrics":
-            return self._handle_metrics_op(request)
-        if op == "reload":
-            return self._handle_reload_op(request)
-        if op == "apply-delta":
-            return self._handle_apply_delta_op(request)
-        target = self._legacy_target(request)
-        if isinstance(target, dict):
-            self._errors += 1
-            return target
-        key, loaded = target
-        response = loaded.service.handle_request(request)
-        if response.get("ok"):
-            response["server"] = self._server_meta(key)
-        else:
-            self._errors += 1
-        return response
+    async def _frames(self, reader) -> AsyncIterator[Optional[bytes]]:
+        """Yield the newline-delimited frames of a byte stream.
 
-    def dispatch_line(self, raw: Union[str, bytes]
-                      ) -> Optional[Dict[str, Any]]:
-        """Parse + dispatch one frame; ``None`` for blank lines."""
-        trace = Trace()
-        with trace.span("parse"):
-            request, envelope = self.parse_line(raw)
-        if envelope is not None:
-            self._requests += 1
-            self._errors += 1
-            self._record_resync(envelope)
-            self._record_response("invalid", envelope, trace.elapsed())
-            return envelope
-        if request is None:
-            return None
-        response = self.dispatch(request, trace=trace)
-        dialect = "v1" if "v" in request else "legacy"
-        self._record_response(dialect, response, trace.elapsed(),
-                              trace=trace)
-        return response
-
-    def _record_resync(self, envelope: Mapping[str, Any]) -> None:
-        """Count + log one malformed/oversized frame resynchronization."""
-        error = envelope.get("error") or {}
-        code = str(error.get("code", "")) if isinstance(error, Mapping) \
-            else str(error)
-        reason = "oversized" if code == "oversized-request" else "malformed"
-        if self._metrics.enabled:
-            self._metrics.counter(
-                "repro_resync_total",
-                "Frames discarded to resynchronize the stream",
-                reason=reason).inc()
-        log_event(_LOG, logging.WARNING, "frame-resync", reason=reason,
-                  code=code)
-
-    # ------------------------------------------------------------------
-    # async dispatch (TCP / unix endpoints)
-    # ------------------------------------------------------------------
-    async def handle_async(self, request: Mapping[str, Any],
-                           trace: Optional[Trace] = None) -> Dict[str, Any]:
-        """Answer one parsed request with coalescing and batching."""
-        loop = asyncio.get_running_loop()
-        if "v" not in request:
-            op = str(request.get("op", "query")).strip().lower()
-            if op not in _OPS_EXEMPT:
-                shed = self._admission_shed(request.get("id"))
-                if shed is not None:
-                    return shed
-            # legacy ops run whole on the worker thread (they may load an
-            # index or run a query; either would block the loop)
-            return await loop.run_in_executor(self._executor,
-                                              self.dispatch, request)
-        shed = self._admission_shed(request.get("id"))
-        if shed is not None:
-            return shed
-        self._requests += 1
-        if trace is None:
-            trace = Trace()
-        deadline, envelope = self._resolve_deadline(request, trace)
-        if envelope is not None:
-            self._errors += 1
-            return envelope
-        started = time.perf_counter()
-        validate_started = time.perf_counter()
-        outcome = await loop.run_in_executor(
-            self._executor, self._resolve_and_prepare, request, deadline)
-        # includes the executor hop — what the request actually waited
-        trace.add("validate", time.perf_counter() - validate_started)
-        if isinstance(outcome, dict):
-            self._errors += 1
-            return outcome
-        key, loaded, prepared = outcome
-        if not self._coalesce:
-            try:
-                exec_started = time.perf_counter()
-                payload = await loop.run_in_executor(
-                    self._executor, execute_prepared, loaded.service,
-                    prepared)
-                trace.add("execute", time.perf_counter() - exec_started)
-            except DeadlineExceeded as error:
-                self._note_deadline_expired()
-                return error_response("deadline-exceeded", str(error),
-                                      prepared.request_id)
-            except ReproError as error:
-                self._errors += 1
-                return error_response("invalid-spec", str(error),
-                                      prepared.request_id)
-            response = build_response(prepared, payload, started,
-                                      trace=trace)
-            response["server"] = self._server_meta(key)
-            return response
-        submit_started = time.perf_counter()
-        payload, coalesced, batch_size, depth, exec_s = \
-            await self._coalescer.submit(key, loaded.service, prepared)
-        waited = time.perf_counter() - submit_started
-        # the batch's worker-thread time is shared by its members; the
-        # rest of the wait is queueing (tick gather + executor backlog)
-        trace.add("queue", max(0.0, waited - exec_s))
-        trace.add("execute", exec_s)
-        if exec_s > 0.0:
-            # EWMA of per-batch worker time — feeds retry_after_ms hints
-            self._avg_exec_s += 0.2 * (exec_s - self._avg_exec_s)
-        if isinstance(payload, DeadlineExceeded):
-            self._note_deadline_expired()
-            return error_response("deadline-exceeded", str(payload),
-                                  prepared.request_id)
-        if isinstance(payload, ReproError):
-            self._errors += 1
-            return error_response("invalid-spec", str(payload),
-                                  prepared.request_id)
-        response = build_response(prepared, payload, started, trace=trace)
-        response["server"] = self._server_meta(
-            key, coalesced=coalesced, batch_size=batch_size,
-            queue_depth=depth)
-        return response
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _frames(self, reader: asyncio.StreamReader
-                      ) -> AsyncIterator[Tuple[bytes, bool]]:
-        """Yield ``(frame, oversized)`` pairs from a byte stream.
-
-        Frames are newline-delimited.  An oversized frame is discarded as
-        it streams in (bounded memory) and reported once, when its
-        terminating newline arrives; a truncated trailing frame (EOF
-        without newline) is still yielded.
+        ``reader`` is anything with ``await read(n)``.  An oversized
+        frame is discarded as it streams in (bounded memory) and yielded
+        once, as ``None``, when its terminating newline arrives; a
+        truncated trailing frame (EOF without newline) is still yielded.
         """
         buffer = bytearray()
         discarding = False
@@ -949,7 +876,7 @@ class AllocationServer:
             chunk = await reader.read(_READ_CHUNK)
             if not chunk:
                 if buffer and not discarding:
-                    yield bytes(buffer), False
+                    yield bytes(buffer)
                 return
             buffer.extend(chunk)
             while True:
@@ -966,11 +893,11 @@ class AllocationServer:
                 if discarding:
                     # this newline terminates the oversized frame
                     discarding = False
-                    yield b"", True
+                    yield None
                 elif len(frame) > self._max_line_bytes:
-                    yield b"", True
+                    yield None
                 else:
-                    yield frame, False
+                    yield frame
 
     async def _write_frame(self, writer: asyncio.StreamWriter,
                            response: Mapping[str, Any]) -> bool:
@@ -1001,8 +928,8 @@ class AllocationServer:
             "server is draining and no longer accepts work; reconnect "
             "and retry elsewhere", request_id)
 
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
+    async def _serve_connection(self, reader, writer) -> None:
+        """Answer one connection's frames, in order, until EOF."""
         self._connections += 1
         self._m_connections.inc()
         peer = writer.get_extra_info("peername")
@@ -1015,88 +942,11 @@ class AllocationServer:
             self._conn_writers[task] = writer
         bucket = (_TokenBucket(self._rate_limit, self._rate_burst)
                   if self._rate_limit is not None else None)
+        write = functools.partial(self._write_frame, writer)
         try:
-            async for frame, oversized in self._frames(reader):
+            async for frame in self._frames(reader):
                 frames += 1
-                trace = Trace()  # minted at frame receipt
-                if oversized:
-                    self._requests += 1
-                    self._errors += 1
-                    response: Optional[Dict[str, Any]] = \
-                        self._oversized_envelope()
-                    self._record_resync(response)
-                    self._record_response("invalid", response,
-                                          trace.elapsed())
-                    if not await self._write_frame(writer, response):
-                        break
-                    continue
-                with trace.span("parse"):
-                    request, envelope = self.parse_line(frame)
-                if envelope is not None:
-                    self._requests += 1
-                    self._errors += 1
-                    self._record_resync(envelope)
-                    response = envelope
-                elif request is None:
-                    continue
-                else:
-                    if self._draining:
-                        # answer, don't abandon: a typed envelope tells
-                        # the client to retry against another replica
-                        self._requests += 1
-                        self._note_shed("shutting-down")
-                        response = self._shutting_down_envelope(
-                            request.get("id"))
-                        self._record_response(
-                            "v1" if "v" in request else "legacy",
-                            response, trace.elapsed())
-                        await self._write_frame(writer, response)
-                        break
-                    if bucket is not None and not (
-                            "v" not in request
-                            and str(request.get("op", "query")).strip()
-                            .lower() in _OPS_EXEMPT):
-                        wait_s = bucket.try_acquire()
-                        if wait_s > 0.0:
-                            self._requests += 1
-                            self._note_shed("rate-limit")
-                            response = error_response(
-                                "overloaded",
-                                f"connection exceeded its "
-                                f"{self._rate_limit:g} req/s budget",
-                                request.get("id"),
-                                queue_depth=self._coalescer.queue_depth,
-                                retry_after_ms=int(wait_s * 1000.0) + 1)
-                            self._record_response(
-                                "v1" if "v" in request else "legacy",
-                                response, trace.elapsed())
-                            if not await self._write_frame(writer,
-                                                           response):
-                                break
-                            continue
-                    # busy covers handling AND the response write, so a
-                    # draining shutdown never drops a computed response
-                    self._busy += 1
-                    if self._idle is not None:
-                        self._idle.clear()
-                    try:
-                        response = await self.handle_async(request,
-                                                           trace=trace)
-                        with trace.span("respond"):
-                            alive = await self._write_frame(writer,
-                                                            response)
-                        dialect = "v1" if "v" in request else "legacy"
-                        self._record_response(dialect, response,
-                                              trace.elapsed(), trace=trace)
-                    finally:
-                        self._busy -= 1
-                        if self._busy == 0 and self._idle is not None:
-                            self._idle.set()
-                    if not alive:
-                        break
-                    continue
-                self._record_response("invalid", response, trace.elapsed())
-                if not await self._write_frame(writer, response):
+                if not await self._serve_frame(frame, write, bucket):
                     break
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.CancelledError):
@@ -1126,7 +976,7 @@ class AllocationServer:
         """Start the TCP endpoint; returns the bound ``(host, port)``."""
         self._ensure_idle_event()
         server = await asyncio.start_server(
-            self._client_connected, host, port, limit=_READ_CHUNK)
+            self._serve_connection, host, port, limit=_READ_CHUNK)
         self._servers.append(server)
         bound = server.sockets[0].getsockname()
         return bound[0], bound[1]
@@ -1136,7 +986,7 @@ class AllocationServer:
         self._ensure_idle_event()
         path = Path(path)
         server = await asyncio.start_unix_server(
-            self._client_connected, str(path), limit=_READ_CHUNK)
+            self._serve_connection, str(path), limit=_READ_CHUNK)
         self._servers.append(server)
         self._unix_paths.append(path)
         return path
@@ -1197,18 +1047,25 @@ class AllocationServer:
                 pass
         self._unix_paths.clear()
         self._executor.shutdown(wait=True)
+        if self._sync_loop is not None:
+            self._sync_loop.close()
+            self._sync_loop = None
 
     async def serve_forever(self, *, tcp: Optional[Tuple[str, int]] = None,
                             unix: Optional[Union[str, Path]] = None,
+                            stdio: bool = False,
                             metrics_tcp: Optional[Tuple[str, int]] = None,
                             ready=None) -> None:
         """Run until SIGINT/SIGTERM; SIGHUP hot-reloads the registry.
 
-        ``metrics_tcp`` starts the Prometheus/healthz HTTP exporter on a
-        separate listener (it exposes this server's registry plus the
-        process-global build metrics).  ``ready`` (optional callable)
-        receives the bound endpoint descriptions once listening — the
-        CLI prints them to stderr.
+        ``stdio`` serves ``sys.stdin``/``sys.stdout`` (as they are at
+        call time: pipe, file or in-memory stream) as one more connection
+        on this event loop: frames are answered in order, and EOF on
+        stdin drains the server and returns.  ``metrics_tcp`` starts the
+        Prometheus/healthz HTTP exporter on a separate listener (it
+        exposes this server's registry plus the process-global build
+        metrics).  ``ready`` (optional callable) receives the endpoint
+        descriptions once listening — the CLI prints them to stderr.
         """
         import signal
 
@@ -1216,6 +1073,7 @@ class AllocationServer:
 
         endpoints = []
         exporter: Optional[MetricsExporter] = None
+        stop = asyncio.Event()
         try:
             if tcp is not None:
                 host, port = await self.start_tcp(*tcp)
@@ -1223,6 +1081,12 @@ class AllocationServer:
             if unix is not None:
                 path = await self.start_unix(unix)
                 endpoints.append(f"unix://{path}")
+            if stdio:
+                self._ensure_idle_event()
+                session = asyncio.ensure_future(self._serve_connection(
+                    StdinReader(sys.stdin), StdoutWriter(sys.stdout)))
+                session.add_done_callback(lambda _session: stop.set())
+                endpoints.append("stdio")
             if metrics_tcp is not None:
                 exporter = MetricsExporter(
                     [self._metrics, get_metrics()], health=self.health)
@@ -1234,7 +1098,6 @@ class AllocationServer:
             log_event(_LOG, logging.INFO, "server-started",
                       endpoints=endpoints,
                       indexes=list(self._registry.keys()))
-            stop = asyncio.Event()
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGINT, signal.SIGTERM):
                 try:
@@ -1249,6 +1112,8 @@ class AllocationServer:
                     AttributeError):  # pragma: no cover - non-unix
                 pass
             await stop.wait()
+            if stdio and session.done():
+                session.result()  # a failed stdio session fails the serve
         finally:
             # runs on normal stop AND on cancellation/error, so an
             # aborted serve still unlinks its unix socket and closes the
@@ -1260,30 +1125,10 @@ class AllocationServer:
                       requests=self._requests, errors=self._errors)
 
 
-def run_stdio(server: AllocationServer,
-              stdin: Optional[TextIO] = None,
-              stdout: Optional[TextIO] = None) -> int:
-    """The synchronous stdio loop: one request per line on stdin.
-
-    Delegates every frame to the same dispatch core as the concurrent
-    endpoints, so the stdio dialect (legacy and versioned) answers
-    identically to TCP/unix serving.
-    """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
-        response = server.dispatch_line(line)
-        if response is None:
-            continue
-        print(server.encode_response(response), file=stdout, flush=True)
-    return 0
-
-
 __all__ = [
     "DEFAULT_DRAIN_TIMEOUT",
     "DEFAULT_MAX_LINE_BYTES",
     "DEFAULT_MAX_QUEUE_DEPTH",
     "HEALTH_STATES",
     "AllocationServer",
-    "run_stdio",
 ]

@@ -258,10 +258,56 @@ class TestMetricsCli:
         assert main(["metrics", "--unix", str(tmp_path / "nope.sock")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_serve_metrics_tcp_needs_concurrent_endpoint(self, capsys):
-        assert main(["serve", "--index", "whatever",
-                     "--metrics-tcp", "127.0.0.1:0"]) == 2
-        assert "--metrics-tcp" in capsys.readouterr().err
+    def test_serve_stdio_with_metrics_tcp(self, tmp_path, capsys,
+                                          monkeypatch):
+        import os
+        import socket
+        import threading
+        import time
+        import urllib.request
+
+        out = tmp_path / "idx"
+        assert main(TestIndexCommands.BUILD + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        read_fd, write_fd = os.pipe()
+        scraped = {}
+
+        def client():
+            # scrape the exporter while stdin is still open, then send
+            # one more frame and close stdin (EOF ends the server)
+            with os.fdopen(write_fd, "w") as stdin:
+                stdin.write('{"id": 1, "op": "ping"}\n')
+                stdin.flush()
+                deadline = time.monotonic() + 60
+                while "body" not in scraped:
+                    try:
+                        with urllib.request.urlopen(
+                                f"http://127.0.0.1:{port}/metrics",
+                                timeout=10) as scrape:
+                            scraped["body"] = scrape.read().decode()
+                    except OSError:
+                        if time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.05)
+                stdin.write('{"id": 2, "op": "query", '
+                            '"budgets": {"i": 2, "j": 1}}\n')
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        monkeypatch.setattr("sys.stdin", os.fdopen(read_fd))
+        try:
+            assert main(["serve", "--index", str(out),
+                         "--metrics-tcp", f"127.0.0.1:{port}"]) == 0
+        finally:
+            thread.join(60)
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines() if line]
+        assert [line["id"] for line in lines] == [1, 2]
+        assert lines[0]["pong"] is True and lines[1]["ok"] is True
+        assert "repro_uptime_seconds" in scraped["body"]
 
 
 class TestBudgetsArgument:

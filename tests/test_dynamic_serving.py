@@ -20,7 +20,7 @@ from repro.api.runner import load_graph
 from repro.cli import main
 from repro.dynamic import GraphDelta, build_repairable_index
 from repro.dynamic.replay import random_edge_delta
-from repro.serve import IndexRegistry, load_service
+from repro.serve import AllocationServer, IndexRegistry, load_service
 from repro.utility.configs import configuration_model
 
 NETWORK, SCALE, CONFIGURATION, SEED = "nethept", 0.01, "C1", 2020
@@ -46,29 +46,33 @@ def hosted(tmp_path):
     return tmp_path, graph, model, index
 
 
+def serve(server, request):
+    return server.dispatch_line(json.dumps(request))
+
+
 class TestServiceOp:
     def test_apply_delta_repairs_in_memory(self, hosted):
         directory, graph, _, _ = hosted
-        loaded = load_service(directory / "dyn-idx")
-        before = loaded.service.index.num_sets
+        server = AllocationServer(IndexRegistry(paths=[directory / "dyn-idx"]))
+        before = load_service(directory / "dyn-idx").service.index.num_sets
         delta = random_edge_delta(graph, 0.01, seed=3)
-        response = loaded.service.handle_request(
-            {"op": "apply-delta", "delta": delta.to_dict()})
+        response = serve(server,
+                         {"op": "apply-delta", "delta": delta.to_dict()})
         assert response["ok"]
         assert response["repair"]["epoch"] == 1
         assert 0 < response["repair"]["repaired_fraction"] < 0.5
-        assert loaded.service.index.num_sets == before
-        assert loaded.service.index.meta["dynamic"]["epoch"] == 1
+        repaired = server.registry.get("dyn-idx").service.index
+        assert repaired.num_sets == before
+        assert repaired.meta["dynamic"]["epoch"] == 1
         # the swapped index serves queries immediately
-        query = loaded.service.handle_request(
-            {"op": "query", "algorithm": "select", "k": 5})
+        query = serve(server, {"op": "query", "algorithm": "select", "k": 5})
         assert query["ok"] and len(query["allocation"]) >= 1
 
     def test_malformed_delta_is_a_typed_error(self, hosted):
         directory, _, _, _ = hosted
-        loaded = load_service(directory / "dyn-idx")
-        response = loaded.service.handle_request(
-            {"op": "apply-delta", "delta": {"bogus": 1}})
+        server = AllocationServer(IndexRegistry(paths=[directory / "dyn-idx"]))
+        response = serve(server,
+                         {"op": "apply-delta", "delta": {"bogus": 1}})
         assert response["ok"] is False
         assert "bogus" in response["error"]
 

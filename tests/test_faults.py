@@ -301,6 +301,25 @@ class TestAdmissionControl:
         assert stats_response["server"]["shed"]["by_reason"][
             "rate-limit"] == 3
 
+    def test_stdio_frames_get_admission_control(self, index_dir, capsys,
+                                                monkeypatch):
+        import io
+
+        from repro.cli import main
+
+        query = '{"op": "query", "budgets": {"i": 2, "j": 2}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "\n".join([query, query, '{"op": "ping"}']) + "\n"))
+        assert main(["serve", "--index", str(index_dir / "chaos-idx"),
+                     "--rate-limit", "0.5", "--rate-burst", "1"]) == 0
+        served, shed, ping = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines() if line]
+        assert served["ok"] is True
+        assert shed["error"]["code"] == "overloaded"
+        assert shed["error"]["retry_after_ms"] > 0
+        assert ping["pong"] is True
+
     def test_health_degrades_on_sheds(self, index_dir):
         server = _server(index_dir, rate_limit=0.5, rate_burst=1)
         assert server.health_state() == "ok"
@@ -343,7 +362,7 @@ class TestDeadlines:
         for bad in ("soon", True, -5, 0, float("nan"), float("inf")):
             request = dict(make_request(SPEC))
             request["deadline_ms"] = bad
-            response = server.dispatch(request)
+            response = server.dispatch_line(json.dumps(request))
             assert response["ok"] is False, bad
             assert response["error"]["code"] == "malformed-request", bad
 
@@ -359,6 +378,25 @@ class TestDeadlines:
         response = server.dispatch_line(json.dumps(request))
         assert response["ok"] is False
         assert response["error"]["code"] == "deadline-exceeded"
+
+    def test_legacy_query_deadline_answers_typed_envelope(self, index_dir):
+        server = _server(index_dir)
+        response = server.dispatch_line(json.dumps(
+            {"op": "query", "id": "late", "budgets": {"i": 2, "j": 2},
+             "deadline_ms": 1e-6}))
+        assert response["ok"] is False
+        assert response["error"]["code"] == "deadline-exceeded"
+        assert response["id"] == "late"
+        assert server.stats_payload()["server"]["deadline_expired"] == 1
+
+    def test_ops_are_exempt_from_deadlines(self, index_dir):
+        server = _server(index_dir, default_deadline_ms=1e-6)
+        legacy = server.dispatch_line(
+            '{"op": "query", "budgets": {"i": 2, "j": 2}}')
+        assert legacy["error"]["code"] == "deadline-exceeded"
+        assert server.dispatch_line(
+            '{"op": "ping", "deadline_ms": 1e-6}')["pong"] is True
+        assert server.dispatch_line('{"op": "stats"}')["ok"] is True
 
     def test_expired_deadline_in_coalesced_batch(self, index_dir):
         # the slow-selection stall burns the whole deadline while the

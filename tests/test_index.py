@@ -323,38 +323,17 @@ class TestAllocationService:
         evicted = service.query("select", k=1)
         assert evicted["cached"] is False
 
-    def test_spec_cache_entry_cap_and_eviction_counter(self, graph, model):
-        index = build_index(graph, model, sampler="marginal",
-                            budgets={"i": 2, "j": 2}, options=OPTIONS,
-                            seed=5)
-        service = AllocationService(index, graph=graph, model=model,
-                                    cache_size=2)
-        for n in range(5):
-            service.store_spec_response(f"fp-{n}", {"payload": n})
-        spec_stats = service.cache_stats["spec_cache"]
-        assert spec_stats["capacity"] == 2
-        assert spec_stats["size"] == 2
-        assert spec_stats["evictions"] == 3
-        # LRU order: the two newest fingerprints survive
-        assert service.cached_spec_response("fp-4") == {"payload": 4}
-        assert service.cached_spec_response("fp-0") is None
-        stats = service.cache_stats["spec_cache"]
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
     def test_zero_capacity_disables_both_caches(self, graph, model):
         index = build_index(graph, model, sampler="marginal",
                             budgets={"i": 2, "j": 2}, options=OPTIONS,
                             seed=5)
         service = AllocationService(index, graph=graph, model=model,
                                     cache_size=0)
-        service.store_spec_response("fp", {"payload": 1})
-        assert service.cached_spec_response("fp") is None
         first = service.query("SeqGRD-NM", budgets={"i": 1, "j": 1})
         second = service.query("SeqGRD-NM", budgets={"i": 1, "j": 1})
         assert first["cached"] is False and second["cached"] is False
         assert first["allocation"] == second["allocation"]
         assert service.cache_stats["size"] == 0
-        assert service.cache_stats["spec_cache"]["size"] == 0
 
     def test_select_budgets_are_greedy_prefixes(self, service):
         big = service.query("select", k=6)["allocation"]["seeds"]
@@ -362,18 +341,34 @@ class TestAllocationService:
         assert small == big[:2]
 
     def test_batch_query(self, service):
-        responses = service.query_batch(
-            [{"algorithm": "select", "k": k} for k in (1, 2, 3)])
+        responses = [service.query("select", k=k) for k in (1, 2, 3)]
         assert [len(r["allocation"]["seeds"]) for r in responses] == [1, 2, 3]
 
-    def test_handle_request_dialect(self, service):
-        assert service.handle_request({"op": "ping"})["pong"] is True
-        stats = service.handle_request({"id": "x", "op": "stats"})
+    def test_handle_request_dialect(self, tmp_path):
+        from repro.graphs.datasets import load_network
+        from repro.serve import AllocationServer, IndexRegistry
+        from repro.utility.configs import configuration_model
+
+        build_index(load_network("nethept", scale=0.01, rng=4),
+                    configuration_model("C1"), sampler="marginal",
+                    budgets={"i": 2, "j": 2}, options=OPTIONS, seed=4,
+                    meta_extra={"network": "nethept", "scale": 0.01,
+                                "configuration": "C1", "graph_seed": 4}
+                    ).save(tmp_path / "dialect-idx")
+        server = AllocationServer(
+            IndexRegistry(paths=[tmp_path / "dialect-idx"]))
+        # loaded up front: `stats` then carries the one-index shape
+        server.registry.get("dialect-idx")
+
+        def handle(request):
+            return server.dispatch_line(json.dumps(request))
+
+        assert handle({"op": "ping"})["pong"] is True
+        stats = handle({"id": "x", "op": "stats"})
         assert stats["id"] == "x" and "stats" in stats
-        bad = service.handle_request({"op": "query", "algorithm": "nope"})
+        bad = handle({"op": "query", "algorithm": "nope"})
         assert bad["ok"] is False and "nope" in bad["error"]
-        good = service.handle_request({"op": "query", "algorithm": "select",
-                                       "k": 2})
+        good = handle({"op": "query", "algorithm": "select", "k": 2})
         assert good["ok"] is True and len(good["allocation"]["seeds"]) == 2
 
     def test_missing_instance_is_reported(self, graph, model):

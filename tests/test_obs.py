@@ -392,10 +392,20 @@ class TestServerObservability:
         assert {'{stage="parse"}', '{stage="validate"}',
                 '{stage="execute"}'} <= set(spans)
 
+    def test_legacy_query_records_validate_and_execute_spans(self,
+                                                             index_dir):
+        server = make_server(index_dir)
+        response = server.dispatch_line(
+            '{"op": "query", "budgets": {"i": 2, "j": 2}}')
+        assert response["ok"] is True
+        spans = server.metrics.summary()["histograms"]["repro_span_seconds"]
+        for stage in ("parse", "queue", "validate", "execute", "respond"):
+            assert spans[f'{{stage="{stage}"}}']["count"] == 1, stage
+
     def test_metrics_op(self, index_dir):
         server = make_server(index_dir)
         self.exercise(server)
-        response = server.dispatch({"op": "metrics", "id": 7})
+        response = server.dispatch_line('{"op": "metrics", "id": 7}')
         assert response["ok"] is True and response["id"] == 7
         assert set(response["metrics"]) == {"server", "process"}
         assert "repro_requests_total" in response["metrics"]["server"][

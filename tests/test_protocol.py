@@ -2,9 +2,11 @@
 
 Covers v1 request → response → ``RunSpec.from_dict`` round-trips, the
 error envelopes (unknown version, malformed request, invalid spec,
-incompatible spec, unsupported algorithm), fingerprint-keyed response
-caching, and the acceptance property that a ``repro run`` and an
-equivalent ``repro serve`` request produce bit-identical allocations.
+incompatible spec, unsupported algorithm), response caching, per-request
+failure isolation in batches, routing by index sampler kind, and the
+acceptance property that a ``repro run`` and an equivalent ``repro
+serve`` request produce bit-identical allocations.  Requests go through
+the server's pipeline over saved indexes.
 """
 
 import io
@@ -19,8 +21,11 @@ from repro.api import (
     WorkloadSpec,
     make_request,
 )
+from repro.api.protocol import execute_prepared_batch, prepare_request
 from repro.cli import main
-from repro.index import AllocationService, build_index
+from repro.exceptions import AlgorithmError, DeadlineExceeded
+from repro.index import build_index
+from repro.serve import AllocationServer, IndexRegistry
 from repro.utility.configs import configuration_model
 
 
@@ -43,22 +48,33 @@ def spec():
         engine=EngineConfig(seed=4, samples=10, max_rr_sets=2000))
 
 
-@pytest.fixture(scope="module")
-def service(instance, spec):
-    graph, model = instance
-    index = build_index(
-        graph, model, sampler="marginal",
+def save_index(graph, model, spec, path, sampler="marginal"):
+    build_index(
+        graph, model, sampler=sampler,
         budgets=dict(spec.workload.budgets),
+        superior_item=spec.workload.superior_item,
         options=spec.engine.imm_options(), seed=spec.engine.seed,
         meta_extra={"network": "nethept", "scale": 0.01,
                     "configuration": "C1", "graph_seed": 4,
-                    "fixed_imm_item": None, "fixed_imm_budget": 50})
-    return AllocationService(index, graph=graph, model=model)
+                    "fixed_imm_item": None,
+                    "fixed_imm_budget": 50}).save(path)
+
+
+@pytest.fixture(scope="module")
+def server(instance, spec, tmp_path_factory):
+    graph, model = instance
+    path = tmp_path_factory.mktemp("protocol") / "proto-idx"
+    save_index(graph, model, spec, path)
+    return AllocationServer(IndexRegistry(paths=[path]))
+
+
+def serve(server, request):
+    return server.dispatch_line(json.dumps(request))
 
 
 class TestVersionedRequests:
-    def test_round_trip_spec_equality(self, service, spec):
-        response = service.handle_request(make_request(spec, request_id=7))
+    def test_round_trip_spec_equality(self, server, spec):
+        response = serve(server, make_request(spec, request_id=7))
         assert response["ok"] is True
         assert response["v"] == PROTOCOL_VERSION
         assert response["id"] == 7
@@ -68,80 +84,137 @@ class TestVersionedRequests:
         assert response["welfare"] >= 0
         assert "latency_ms" in response["timings"]
 
-    def test_fingerprint_keyed_cache(self, service, spec):
-        first = service.handle_request(make_request(spec))
-        second = service.handle_request(make_request(spec))
+    def test_fingerprint_keyed_cache(self, server, spec):
+        first = serve(server, make_request(spec))
+        second = serve(server, make_request(spec))
         assert second["cached"] is True
         assert second["allocation"] == first["allocation"]
 
-    def test_unknown_version_envelope(self, service):
-        response = service.handle_request({"v": 99, "spec": {}})
+    def test_unknown_version_envelope(self, server):
+        response = serve(server, {"v": 99, "spec": {}})
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported-version"
         assert "99" in response["error"]["message"]
 
-    def test_missing_spec_envelope(self, service):
-        response = service.handle_request({"v": 1, "id": "x"})
+    def test_missing_spec_envelope(self, server):
+        response = serve(server, {"v": 1, "id": "x"})
         assert response["ok"] is False
         assert response["error"]["code"] == "malformed-request"
         assert response["id"] == "x"
 
-    def test_malformed_spec_envelope(self, service):
-        response = service.handle_request(
-            {"v": 1, "spec": {"algorithm": "SeqGRD-NM",
-                              "workload": {"bogus": 1}}})
+    def test_malformed_spec_envelope(self, server):
+        response = serve(
+            server, {"v": 1, "spec": {"algorithm": "SeqGRD-NM",
+                                      "workload": {"bogus": 1}}})
         assert response["ok"] is False
         assert response["error"]["code"] == "invalid-spec"
         assert "bogus" in response["error"]["message"]
 
-    def test_unknown_algorithm_envelope(self, service):
-        response = service.handle_request(
-            {"v": 1, "spec": {"algorithm": "Mystery"}})
+    def test_unknown_algorithm_envelope(self, server):
+        response = serve(
+            server, {"v": 1, "spec": {"algorithm": "Mystery"}})
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported-algorithm"
 
-    def test_unsupported_algorithm_envelope(self, service, spec):
+    def test_unsupported_algorithm_envelope(self, server, spec):
         request = make_request(RunSpec("TCIM", spec.workload, spec.engine))
-        response = service.handle_request(request)
+        response = serve(server, request)
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported-algorithm"
 
-    def test_incompatible_seed_envelope(self, service, spec):
+    def test_incompatible_seed_envelope(self, server, spec):
         import dataclasses
 
         other = dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, seed=99))
-        response = service.handle_request(make_request(other))
+        response = serve(server, make_request(other))
         assert response["ok"] is False
         assert response["error"]["code"] == "incompatible-spec"
         assert "seed" in response["error"]["message"]
 
-    def test_incompatible_fixed_allocation_envelope(self, service, spec):
+    def test_incompatible_fixed_allocation_envelope(self, server, spec):
         import dataclasses
 
         other = dataclasses.replace(
             spec, workload=dataclasses.replace(
                 spec.workload, budgets={"i": 2},
                 fixed_allocation={"j": (5,)}))
-        response = service.handle_request(make_request(other))
+        response = serve(server, make_request(other))
         assert response["ok"] is False
         assert response["error"]["code"] == "incompatible-spec"
         assert "fixed_allocation" in response["error"]["message"]
 
-    def test_incompatible_epsilon_envelope(self, service, spec):
+    def test_incompatible_epsilon_envelope(self, server, spec):
         import dataclasses
 
         other = dataclasses.replace(
             spec, engine=dataclasses.replace(spec.engine, epsilon=0.1))
-        response = service.handle_request(make_request(other))
+        response = serve(server, make_request(other))
         assert response["ok"] is False
         assert response["error"]["code"] == "incompatible-spec"
 
-    def test_legacy_dialect_still_served(self, service):
-        response = service.handle_request(
-            {"op": "query", "budgets": {"i": 2, "j": 2}})
+    def test_legacy_dialect_still_served(self, server):
+        response = serve(
+            server, {"op": "query", "budgets": {"i": 2, "j": 2}})
         assert response["ok"] is True
         assert "allocation" in response
+
+
+class TestBatchExecution:
+    def test_failures_are_isolated_per_request(self, server, spec):
+        import dataclasses
+
+        service = server.registry.get("proto-idx").service
+
+        def prepared(request, deadline=None):
+            key, routed, out = prepare_request(
+                request, lambda _spec: ("proto-idx", service), deadline)
+            assert routed is service
+            return out
+
+        good = prepared(make_request(spec, request_id=1))
+        degenerate = dataclasses.replace(good, budgets={"i": -1})
+        expired = prepared(make_request(spec), deadline=0.0)
+        results = execute_prepared_batch(
+            service, [good, degenerate, expired, good])
+        assert isinstance(results[1], AlgorithmError)
+        assert isinstance(results[2], DeadlineExceeded)
+        assert results[0]["allocation"] == results[3]["allocation"]
+        assert results[3]["cached"] is True
+
+
+class TestSamplerRouting:
+    """With a marginal and a weighted index co-hosted for one instance,
+    each algorithm is served from the index kind it executes against —
+    whichever of the two sorts first."""
+
+    SUPGRD = RunSpec(
+        algorithm="SupGRD",
+        workload=WorkloadSpec(network="nethept", scale=0.01,
+                              configuration="C1", budgets={"i": 2},
+                              superior_item="i"),
+        engine=EngineConfig(seed=4, samples=10, max_rr_sets=2000))
+
+    @pytest.mark.parametrize("marginal, weighted", [
+        ("a-marginal", "b-weighted"), ("b-marginal", "a-weighted")])
+    def test_each_algorithm_served_by_its_own_index(
+            self, instance, spec, tmp_path, marginal, weighted):
+        from repro.api import run as run_spec
+
+        graph, model = instance
+        save_index(graph, model, spec, tmp_path / marginal)
+        save_index(graph, model, self.SUPGRD, tmp_path / weighted,
+                   sampler="weighted")
+        server = AllocationServer(IndexRegistry(directory=tmp_path))
+        for request_spec, expected in ((spec, marginal),
+                                       (self.SUPGRD, weighted)):
+            response = serve(server, make_request(request_spec))
+            assert response["ok"] is True, response
+            assert response["server"]["index"] == expected
+            direct = run_spec(request_spec, graph=graph, model=model)
+            assert response["allocation"] == {
+                item: list(nodes) for item, nodes
+                in direct.result.allocation.as_dict().items()}
 
 
 class TestServeMatchesRun:

@@ -206,37 +206,6 @@ class TestLegacyDialectRouting:
             '{"op": "query", "index": "nope", "budgets": {"i": 1}}')
         assert unknown["ok"] is False
 
-    def test_no_coalesce_server_still_bit_identical(self, index_dir,
-                                                    direct_allocations):
-        registry = IndexRegistry(directory=index_dir, capacity=2,
-                                 cache_size=0)
-        server = AllocationServer(registry, coalesce=False)
-
-        async def scenario():
-            host, port = await server.start_tcp("127.0.0.1", 0)
-
-            async def one():
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(json.dumps(make_request(SPEC_A)).encode()
-                             + b"\n")
-                await writer.drain()
-                out = json.loads(await asyncio.wait_for(
-                    reader.readline(), 120))
-                writer.close()
-                return out
-            responses = await asyncio.gather(*[one() for _ in range(6)])
-            counters = server.coalescer.counters()
-            await server.shutdown(drain=True)
-            return responses, counters
-
-        responses, counters = _run(scenario())
-        expected = direct_allocations[SPEC_A.fingerprint()]
-        for response in responses:
-            assert response["ok"] is True
-            assert response["allocation"] == expected
-            assert response["server"]["coalesced"] is False
-        assert counters == {}  # the coalescer never saw the requests
-
 
 class TestRegistryLRU:
     def test_eviction_order_capacity_one(self, index_dir,

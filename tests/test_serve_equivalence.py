@@ -2,9 +2,9 @@
 
 A seeded generator (plain ``random.Random`` — no hypothesis dependency)
 draws RunSpecs across algorithms, budgets and seeds; each spec is served
-through the full serving stack (registry → server dispatch → protocol →
-AllocationService over a freshly built index) and compared against a
-direct :func:`repro.api.run` of the same spec:
+through the full serving stack (registry → server pipeline → protocol →
+AllocationService over a freshly built, saved index) and compared against
+a direct :func:`repro.api.run` of the same spec:
 
 * allocations must be **bit-identical**,
 * the response fingerprint must equal :meth:`RunSpec.fingerprint` and
@@ -33,7 +33,7 @@ from repro.api import (
     make_request,
     run as run_spec,
 )
-from repro.index import AllocationService, build_index
+from repro.index import build_index
 from repro.serve import AllocationServer, IndexRegistry
 from repro.utility.configs import configuration_model
 
@@ -86,16 +86,26 @@ def instances():
             for seed in (3, 4)}, model
 
 
+def serve_from_saved_index(index, path, request):
+    """Answer ``request`` through a server hosting ``index`` saved at
+    ``path``."""
+    index.save(path)
+    server = AllocationServer(IndexRegistry(paths=[path]))
+    return server.dispatch_line(json.dumps(request))
+
+
 @pytest.fixture(scope="module")
-def served_and_direct(instances) -> List[Tuple[RunSpec, dict, dict]]:
+def served_and_direct(instances, tmp_path_factory
+                      ) -> List[Tuple[RunSpec, dict, dict]]:
     """Each random spec served through the stack + run directly."""
     graphs, model = instances
+    tmp = tmp_path_factory.mktemp("equivalence")
     rows = []
-    for spec in generate_specs(seed=2020, count=6):
+    for n, spec in enumerate(generate_specs(seed=2020, count=6)):
         graph = graphs[spec.engine.seed]
         index = build_matching_index(graph, model, spec)
-        service = AllocationService(index, graph=graph, model=model)
-        response = service.handle_request(make_request(spec, request_id=1))
+        response = serve_from_saved_index(
+            index, tmp / f"spec-{n}", make_request(spec, request_id=1))
         record = run_spec(spec, graph=graph, model=model)
         direct = {item: list(nodes) for item, nodes
                   in record.result.allocation.as_dict().items()}
@@ -131,14 +141,14 @@ class TestServeMatchesRun:
         other = [s.fingerprint() for s in generate_specs(seed=100, count=8)]
         assert first != other
 
-    def test_fresh_service_reserves_identically(self, instances,
+    def test_fresh_service_reserves_identically(self, instances, tmp_path,
                                                 served_and_direct):
         graphs, model = instances
         spec, response, _direct = served_and_direct[0]
         graph = graphs[spec.engine.seed]
         index = build_matching_index(graph, model, spec)
-        fresh = AllocationService(index, graph=graph, model=model)
-        again = fresh.handle_request(make_request(spec))
+        again = serve_from_saved_index(index, tmp_path / "fresh-idx",
+                                       make_request(spec))
         assert again["allocation"] == response["allocation"]
         assert again["fingerprint"] == response["fingerprint"]
 
@@ -185,6 +195,89 @@ class TestWirePathEquivalence:
         via_core = server.dispatch_line(json.dumps(make_request(spec)))
         assert via_core["ok"] is True
         assert via_core["allocation"] == response["allocation"]
+
+
+def _key_paths(obj, prefix=""):
+    """Sorted dotted key paths of a nested dict (leaves included)."""
+    if not isinstance(obj, dict) or not obj:
+        return [prefix] if prefix else []
+    paths = []
+    for key, value in obj.items():
+        paths.extend(_key_paths(value, f"{prefix}.{key}" if prefix else key))
+    return sorted(paths)
+
+
+def _stable(response):
+    """A response without its timing fields (latency, spans, trace id)."""
+    return {key: value for key, value in response.items()
+            if key not in ("timings", "latency_ms")}
+
+
+class TestTransportEquivalence:
+    """One pipeline: the same frames answer alike over every transport."""
+
+    SPEC = RunSpec(
+        algorithm="SeqGRD-NM",
+        workload=WorkloadSpec(network=NETWORK, scale=SCALE,
+                              configuration=CONFIGURATION,
+                              budgets={"i": 2, "j": 2}),
+        engine=EngineConfig(seed=4, samples=10, max_rr_sets=2000))
+
+    FRAMES = [
+        json.dumps(make_request(SPEC, request_id=1)),
+        '{"id": 2, "op": "query", "budgets": {"i": 1, "j": 2}}',
+        '{"id": 3, "op": "ping"}',
+        "garbage",
+        '{"id": 4, "op": "stats"}',
+    ]
+
+    def test_mixed_frames_equal_over_every_transport(
+            self, tmp_path, instances, capsys, monkeypatch):
+        import io
+
+        from repro.cli import main
+
+        graphs, model = instances
+        path = tmp_path / "transport-idx"
+        build_matching_index(graphs[4], model, self.SPEC).save(path)
+
+        def server():
+            return AllocationServer(IndexRegistry(paths=[path]))
+
+        direct = server()
+        via_dispatch = [direct.dispatch_line(f) for f in self.FRAMES]
+        dispatch_stats = _key_paths(direct.stats_payload())
+
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("\n".join(self.FRAMES) + "\n"))
+        assert main(["serve", "--index", str(path)]) == 0
+        via_stdio = [json.loads(line) for line
+                     in capsys.readouterr().out.splitlines() if line]
+
+        tcp = server()
+
+        async def scenario():
+            host, port = await tcp.start_tcp("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            responses = []
+            for frame in self.FRAMES:
+                writer.write(frame.encode() + b"\n")
+                await writer.drain()
+                responses.append(json.loads(await asyncio.wait_for(
+                    reader.readline(), 60)))
+            writer.close()
+            stats = _key_paths(tcp.stats_payload())
+            await tcp.shutdown(drain=True)
+            return responses, stats
+
+        via_tcp, tcp_stats = asyncio.run(asyncio.wait_for(scenario(), 120))
+        assert via_dispatch[0]["ok"] is True and via_dispatch[1]["ok"]
+        for transport in (via_stdio, via_tcp):
+            assert len(transport) == len(self.FRAMES)
+            for ours, theirs in zip(via_dispatch[:-1], transport[:-1]):
+                assert _stable(theirs) == _stable(ours)
+            assert _key_paths(transport[-1]) == _key_paths(via_dispatch[-1])
+        assert tcp_stats == dispatch_stats
 
 
 class TestIncompatibleSpecsRejected:

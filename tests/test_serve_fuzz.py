@@ -65,6 +65,16 @@ def server(index_dir):
     return AllocationServer(registry, max_line_bytes=MAX_LINE)
 
 
+#: legacy queries whose payloads fail validation inside the service
+MALFORMED_LEGACY_QUERIES = [
+    ("legacy-k-not-int", b'{"op": "query", "k": "abc"}'),
+    ("legacy-budgets-list", b'{"op": "query", "budgets": [1, 2]}'),
+    ("legacy-budget-not-int", b'{"op": "query", "budgets": {"i": "x"}}'),
+    ("legacy-budget-negative", b'{"op": "query", "budgets": {"i": -1}}'),
+    ("legacy-algorithm-number", b'{"op": "query", "algorithm": 7}'),
+]
+
+
 def fuzz_corpus(seed: int, count: int = 120):
     """Seeded adversarial frames: ``(label, bytes)`` pairs."""
     rng = random.Random(seed)
@@ -98,7 +108,8 @@ def fuzz_corpus(seed: int, count: int = 120):
         ("oversized-json", b'{"pad": "' + b"y" * (MAX_LINE + 64)
                            + b'"}'),
         ("deep-nesting", b'{"v": ' + b'[' * 40 + b']' * 40 + b"}"),
-    ]
+    ] + MALFORMED_LEGACY_QUERIES
+    yield from corpus
     for i in range(count - len(corpus)):
         kind = rng.randrange(4)
         if kind == 0:  # random binary garbage
@@ -164,6 +175,19 @@ class TestStdioCoreFuzz:
             if isinstance(error_t, dict) or isinstance(error_b, dict):
                 assert error_t["code"] == error_b["code"], label
 
+    def test_malformed_legacy_queries_answered(self, server):
+        for label, frame in MALFORMED_LEGACY_QUERIES:
+            response = server.dispatch_line(frame)
+            assert response["ok"] is False, (label, response)
+            assert isinstance(response["error"], str), (label, response)
+
+    def test_unknown_op_lists_the_answered_ops(self, server):
+        response = server.dispatch_line('{"op": "bogus"}')
+        assert response["ok"] is False
+        for op in ("query", "ping", "stats", "metrics", "reload",
+                   "apply-delta"):
+            assert op in response["error"], response
+
     def test_oversized_text_line_enveloped(self, server):
         response = server.dispatch_line("z" * (MAX_LINE + 5))
         assert response["ok"] is False
@@ -226,6 +250,32 @@ class TestTcpFuzz:
 
         response = self._run(scenario())
         assert response["server"]["index"] == "fuzz-idx"
+
+    def test_malformed_legacy_queries_spare_concurrent_requests(self,
+                                                                server):
+        async def one(host, port, frame):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(frame + b"\n")
+            await writer.drain()
+            response = json.loads(await asyncio.wait_for(
+                reader.readline(), 60))
+            writer.close()
+            return response
+
+        async def scenario():
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            valid = json.dumps(make_request(SPEC)).encode()
+            frames = [frame for _label, frame in MALFORMED_LEGACY_QUERIES]
+            responses = await asyncio.gather(
+                *[one(host, port, frame)
+                  for frame in frames + [valid] * len(frames)])
+            await server.shutdown(drain=True)
+            return responses
+
+        responses = self._run(scenario())
+        half = len(MALFORMED_LEGACY_QUERIES)
+        assert all(r["ok"] is False for r in responses[:half]), responses
+        assert all(r["ok"] is True for r in responses[half:]), responses
 
     def test_oversized_frame_resynchronizes(self, server):
         async def scenario():
@@ -351,12 +401,13 @@ class TestMetricsHttpFuzz:
     def test_exporter_survives_http_garbage(self, server):
         from repro.obs.httpexp import MetricsExporter
 
+        # a serve request so the scrape has nonzero counters
+        server.dispatch_line('{"op": "ping"}')
+
         async def scenario():
             exporter = MetricsExporter([server.metrics])
             await exporter.start("127.0.0.1", 0)
             host, port = exporter.addresses[0]
-            # a serve request so the scrape has nonzero counters
-            server.dispatch_line('{"op": "ping"}')
             try:
                 for label, frame in http_fuzz_corpus(seed=2022):
                     body = await self._request(host, port, frame)
