@@ -176,16 +176,27 @@ def _index_samplers(algorithm: str) -> Optional[Tuple[Optional[str], ...]]:
             "SupGRD": SUPGRD_SAMPLERS}.get(algorithm)
 
 
+def _superior_item(workload) -> Optional[str]:
+    """The item a SupGRD spec allocates: the one budget
+    :func:`~repro.api.runner.narrow_single_item_budgets` keeps."""
+    from repro.api.runner import narrow_single_item_budgets
+
+    budgets = workload.resolved_budgets(workload.item_names() or ())
+    return next(iter(narrow_single_item_budgets(
+        budgets, workload.superior_item)), None)
+
+
 def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
     """Why ``spec`` cannot be served from an index with manifest ``meta``.
 
     Returns ``None`` when compatible.  The checks mirror what makes served
     allocations bit-identical to a direct run: an RR-set kind the
     algorithm executes against (marginal/standard for SeqGRD-NM, weighted
-    for SupGRD), same network, scale, configuration, seed, IMM accuracy
-    knobs, engine, fixed-IMM workload and sampling mode (serial vs.
-    sharded — RR-set *contents* are worker-count-invariant, but the
-    serial and sharded streams differ).
+    for SupGRD), the superior item a weighted index was sampled for, same
+    network, scale, configuration, seed, IMM accuracy knobs, engine,
+    fixed-IMM workload and sampling mode (serial vs. sharded — RR-set
+    *contents* are worker-count-invariant, but the serial and sharded
+    streams differ).
     """
     samplers = _index_samplers(spec.algorithm)
     sampler = meta.get("sampler")
@@ -196,6 +207,12 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
                 f"{sampler!r} sampler; rebuild the index or adjust the spec")
     resolved = spec.resolve()
     workload, engine = resolved.workload, resolved.engine
+    if spec.algorithm == "SupGRD":
+        # weighted RR-set weights are one superior item's utility gains
+        superior = _superior_item(workload)
+        if superior != meta.get("superior_item"):
+            return _mismatch("superior_item", superior,
+                             meta.get("superior_item"))
     options = meta.get("options") or {}
     checks = (
         ("network", workload.network, meta.get("network")),

@@ -43,14 +43,15 @@ def _ordered_items(model: UtilityModel, budgets: Mapping[str, int],
 
 def _seed_pool(graph: DirectedGraph, budgets: Mapping[str, int],
                fixed_allocation: Allocation, options: Optional[IMMOptions],
-               rng: RngLike, pool: Optional[Sequence[int]]) -> List[int]:
+               rng: RngLike, pool: Optional[Sequence[int]],
+               engine: Optional[str]) -> List[int]:
     """The shared ordered seed pool (PRIMA+ order unless given explicitly)."""
     total = sum(b for b in budgets.values() if b > 0)
     if pool is not None:
         return list(int(v) for v in pool)[:total]
     result = prima_plus(graph, fixed_allocation.all_seeds(),
                         [b for b in budgets.values() if b > 0], total,
-                        options=options, rng=rng)
+                        options=options, rng=rng, engine=engine)
     return result.seeds
 
 
@@ -106,7 +107,8 @@ def _interleaved(graph: DirectedGraph, model: UtilityModel,
             details={"seed_pool": [], "item_order": []})
 
     start = time.perf_counter()
-    pool = _seed_pool(graph, budgets, fixed_allocation, options, rng, seed_pool)
+    pool = _seed_pool(graph, budgets, fixed_allocation, options, rng,
+                      seed_pool, engine)
     remaining = {item: budgets[item] for item in items}
     assignment: Dict[str, List[int]] = {item: [] for item in items}
     order = list(items)

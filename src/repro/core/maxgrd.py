@@ -67,7 +67,7 @@ def maxgrd(graph: DirectedGraph, model: UtilityModel,
 
     prima = prima_plus(graph, fixed_seeds, [budgets[i] for i in items],
                        max_budget, options=options, rng=rng,
-                       selection_strategy=selection_strategy)
+                       selection_strategy=selection_strategy, engine=engine)
 
     scores: Dict[str, float] = {}
     candidates: Dict[str, Allocation] = {}

@@ -29,10 +29,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
+from repro.engine.reverse import marginal_rr_sets_packed
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
-from repro.rrsets.coverage import RRCollection, node_selection
+from repro.rrsets.coverage import PackedRRBatch, RRCollection, node_selection
 from repro.rrsets.imm import IMMOptions
 from repro.rrsets.rrset import marginal_rr_set
 from repro.utils.rng import RngLike, derive_seed, ensure_rng
@@ -67,7 +69,8 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
                rng: RngLike = None,
                workers: Optional[int] = None,
                keep_collection: bool = False,
-               selection_strategy: Optional[str] = None) -> PrimaResult:
+               selection_strategy: Optional[str] = None,
+               engine: Optional[str] = None) -> PrimaResult:
     """Select ``num_seeds`` ordered seeds maximizing marginal spread.
 
     Parameters
@@ -96,6 +99,12 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
         (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); every
         strategy returns bit-identical ordered seeds, preserving the
         prefix guarantees.
+    engine:
+        ``"vectorized"`` draws each round's missing serial sets in one
+        batched :func:`~repro.engine.reverse.marginal_rr_sets_packed`
+        call; ``"python"`` keeps the scalar :func:`marginal_rr_set` loop
+        (the reference oracle).  The two draw different RNG streams with
+        the same distribution.
     """
     options = options or IMMOptions()
     rng = ensure_rng(rng)
@@ -124,16 +133,23 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
 
     # the context manager releases the (registry-warm) worker pool even
     # when the sampling phase raises
+    vectorized = resolve_engine(engine) == ENGINE_VECTORIZED
     with sampler_context as parallel_sampler:
         def sample_into(collection: RRCollection, target: float) -> None:
             target = int(min(math.ceil(target), options.max_rr_sets))
-            if parallel_sampler is not None:
-                missing = target - collection.num_sets
-                if missing > 0:
-                    collection.extend(parallel_sampler(missing))
+            missing = target - collection.num_sets
+            if missing <= 0:
                 return
-            while collection.num_sets < target:
-                collection.add(marginal_rr_set(graph, blocked, rng), 1.0)
+            if parallel_sampler is not None:
+                collection.extend(parallel_sampler(missing))
+            elif vectorized:
+                offsets, nodes = marginal_rr_sets_packed(graph, blocked,
+                                                         missing, rng)
+                collection.extend(PackedRRBatch(offsets, nodes,
+                                                np.ones(missing)))
+            else:
+                for _ in range(missing):
+                    collection.add(marginal_rr_set(graph, blocked, rng), 1.0)
 
         # --------------------------------------------------------------
         # sampling phase: one lower-bound search per distinct budget,

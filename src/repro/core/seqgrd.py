@@ -110,7 +110,8 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
                            total_budget, options=options, rng=rng,
                            workers=workers,
                            keep_collection=keep_rr_collection,
-                           selection_strategy=selection_strategy)
+                           selection_strategy=selection_strategy,
+                           engine=engine)
     available: List[int] = list(prima.seeds)
 
     # sort items by expected truncated utility, highest first (line 4)

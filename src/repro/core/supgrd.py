@@ -140,10 +140,9 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
         rr = sampler_state.sample(generator)
         return rr.nodes, rr.weight
 
-    batch_sampler = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        def batch_sampler(generator: np.random.Generator, count: int):
-            return sampler_state.sample_pairs(generator, count)
+    # packed batches, which the RR collection splices in bulk
+    batch_sampler = sampler_state.sample_pairs \
+        if resolve_engine(engine) == ENGINE_VECTORIZED else None
 
     sampler_context = contextlib.nullcontext(None)
     if workers is not None:

@@ -48,8 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.coins import gather_csr_edges, unique_pairs
+from repro.engine.coins import gather_csr_edges
 from repro.engine.config import batch_size
+from repro.engine.reverse import VisitedPairs
 from repro.graphs.graph import DirectedGraph
 
 #: engine tag recorded in repairable manifests (never matches a v1 spec)
@@ -178,27 +179,28 @@ def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
             blocked_mask[int(node)] = True
             block_values[int(node)] = float(value)
 
-    results: List[Tuple[np.ndarray, float]] = [None] * indices.size
+    visits = VisitedPairs(batch_size(n, indices.size), n)
+    results: List[Tuple[np.ndarray, float]] = []
     done = 0
     while done < indices.size:
         chunk = min(batch_size(n, indices.size - done), indices.size - done)
         lo, hi = done, done + chunk
-        _sample_chunk(results, lo, seeds[lo:hi], roots[lo:hi],
-                      (indptr, in_sources, in_probs), n, kind,
-                      blocked_mask, block_values, float(superior_utility))
+        results.extend(_sample_chunk(
+            visits, seeds[lo:hi], roots[lo:hi],
+            (indptr, in_sources, in_probs), kind, blocked_mask,
+            block_values, float(superior_utility)))
         done = hi
     return results
 
 
-def _sample_chunk(results: List, offset: int, seeds: np.ndarray,
-                  roots: np.ndarray, in_csr, n: int, kind: str,
+def _sample_chunk(visits: VisitedPairs, seeds: np.ndarray,
+                  roots: np.ndarray, in_csr, kind: str,
                   blocked_mask, block_values,
-                  superior_utility: float) -> None:
+                  superior_utility: float) -> List[Tuple[np.ndarray, float]]:
     indptr, in_sources, in_probs = in_csr
     k = seeds.size
-    visited = np.zeros((k, n), dtype=bool)
     rows = np.arange(k, dtype=np.int64)
-    visited[rows, roots] = True
+    visits.start(roots)
 
     dead = np.zeros(k, dtype=bool)        # marginal: walk hit a blocked node
     stopped = np.zeros(k, dtype=bool)     # weighted: level-stop reached
@@ -224,12 +226,8 @@ def _sample_chunk(results: List, offset: int, seeds: np.ndarray,
         coins = _edge_coins(seeds[edge_samples], in_sources[edge_ids],
                             edge_dsts)
         live = coins < in_probs[edge_ids]
-        src_samples = edge_samples[live]
-        src_nodes = in_sources[edge_ids[live]].astype(np.int64)
-        src_samples, src_nodes = unique_pairs(n, src_samples, src_nodes)
-        fresh = ~visited[src_samples, src_nodes]
-        src_samples, src_nodes = src_samples[fresh], src_nodes[fresh]
-        visited[src_samples, src_nodes] = True
+        src_samples, src_nodes = visits.add(edge_samples[live],
+                                            in_sources[edge_ids[live]])
         if kind == "marginal":
             hit = blocked_mask[src_nodes]
             dead[src_samples[hit]] = True
@@ -244,15 +242,16 @@ def _sample_chunk(results: List, offset: int, seeds: np.ndarray,
             src_samples, src_nodes = src_samples[keep], src_nodes[keep]
         sample_ids, node_ids = src_samples, src_nodes
 
-    for i in range(k):
-        members = np.flatnonzero(visited[i]).astype(np.int64)
-        if kind == "marginal":
-            weight = 0.0 if dead[i] else 1.0
-        elif kind == "weighted":
-            weight = max(0.0, superior_utility - best_block[i])
-        else:
-            weight = 1.0
-        results[offset + i] = (members, weight)
+    samples, members = visits.finish()
+    sets = np.split(members, np.searchsorted(samples, rows[1:]))
+    if kind == "marginal":
+        weights = [0.0 if gone else 1.0 for gone in dead.tolist()]
+    elif kind == "weighted":
+        weights = [max(0.0, superior_utility - best)
+                   for best in best_block.tolist()]
+    else:
+        weights = [1.0] * k
+    return list(zip(sets, weights))
 
 
 __all__ = [

@@ -13,8 +13,11 @@ argument with two spellings:
 
 ``engine=None`` (the default everywhere) resolves to the ``REPRO_ENGINE``
 environment variable when set, and to ``"vectorized"`` otherwise.  Batch
-sizes are bounded by a state-cell budget so the ``(B, n)`` world state never
+sizes are bounded by a state-cell budget so ``(B, n)`` per-world state never
 balloons on large graphs; ``REPRO_ENGINE_BATCH`` caps the batch explicitly.
+The reverse samplers touch only the visited cells of their ``(B, n)``
+buffer, but their chunk size is still part of the RNG stream: roots are
+drawn per chunk.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ BATCH_ENV_VAR = "REPRO_ENGINE_BATCH"
 
 #: default cap on worlds simulated per batch
 DEFAULT_MAX_BATCH = 512
-#: budget on ``batch x num_nodes`` state cells per batch (~4M int64 ≈ 32 MB)
+#: budget on ``batch x num_nodes`` state cells per batch (~4M int64 ≈ 32 MB
+#: for forward worlds; the reverse samplers' visited buffer is bool and is
+#: read and cleared only where a walk went)
 STATE_CELL_BUDGET = 1 << 22
 
 

@@ -1,16 +1,21 @@
 """Batched reverse-BFS sampling of standard, marginal and weighted RR sets.
 
 The scalar generators in :mod:`repro.rrsets.rrset` run one reverse BFS per
-RR set with a Python ``deque``.  Here a whole **batch of K roots** advances
-level-synchronously: the per-sample visited/frontier state is a ``(K, n)``
-boolean matrix, every level gathers the in-edges of all frontier nodes of
-all samples in one ragged CSR gather, and the edge coins come from
-:func:`~repro.engine.coins.bernoulli_mask` — pre-drawn geometric edge-skip
-coins when the gathered probabilities are uniform, a vectorized comparison
-otherwise.
+RR set with a Python ``deque``.  Here a whole **chunk of K roots** advances
+level-synchronously: every level gathers the in-edges of all frontier
+nodes of all samples in one ragged CSR gather, and the edge coins come
+from :func:`~repro.engine.coins.bernoulli_mask` — pre-drawn geometric
+edge-skip coins when the gathered probabilities are uniform, a vectorized
+comparison otherwise.
+
+Visited state (:class:`VisitedPairs`) costs what the walks visit:
+membership tests read one ``(K, n)`` boolean buffer that lives for the
+whole call, but a chunk's sets are extracted from, and the buffer is
+cleared at, only the (sample, node) pairs the chunk touched — a few
+members per set, never a scan of all ``K × n`` cells.
 
 The three samplers implement the same semantics as their scalar
-counterparts:
+counterparts and share one chunk loop:
 
 * standard RR sets — plain reverse reachability;
 * marginal RR sets — discarded (emptied) as soon as the BFS touches the
@@ -27,21 +32,51 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.engine.config import batch_size
-from repro.engine.coins import bernoulli_mask, gather_csr_edges, unique_pairs
+from repro.engine.coins import bernoulli_mask, gather_csr_edges
 from repro.graphs.graph import DirectedGraph
 from repro.utils.rng import RngLike, ensure_rng
 
 
-def _resolve_roots(n: int, count: int, rng: np.random.Generator,
-                   roots: Optional[Sequence[int]]) -> np.ndarray:
-    if roots is None:
-        return rng.integers(0, n, size=count).astype(np.int64)
-    roots = np.asarray(list(roots), dtype=np.int64)
-    if len(roots) != count:
-        raise ValueError(f"expected {count} roots, got {len(roots)}")
-    if len(roots) and (roots.min() < 0 or roots.max() >= n):
-        raise ValueError(f"root ids must lie in [0, {n})")
-    return roots
+class VisitedPairs:
+    """The (sample, node) pairs a chunk of reverse BFSs has visited.
+
+    ``add`` filters newly reached pairs against a reusable ``(rows, n)``
+    membership buffer and records the fresh ones by key
+    ``sample * n + node``; ``finish`` returns the recorded pairs in sorted
+    key order (samples in order, nodes ascending within a sample) and
+    clears only their cells, so the buffer is clean for the next chunk.
+    """
+
+    def __init__(self, rows: int, n: int) -> None:
+        self._n = n
+        self._member = np.zeros((rows, n), dtype=bool)
+        self._keys: List[np.ndarray] = []
+
+    def start(self, roots: np.ndarray) -> None:
+        """Open a chunk whose sample ``k`` is rooted at ``roots[k]``."""
+        rows = np.arange(len(roots), dtype=np.int64)
+        self._member[rows, roots] = True
+        self._keys = [rows * self._n + roots]
+
+    def add(self, samples: np.ndarray,
+            nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Mark the pairs not visited yet; return them once each, in key
+        order (one level can reach a node through two frontier nodes)."""
+        fresh = ~self._member[samples, nodes]
+        keys = np.unique(samples[fresh] * self._n + nodes[fresh])
+        samples, nodes = np.divmod(keys, self._n)
+        self._member[samples, nodes] = True
+        self._keys.append(keys)
+        return samples, nodes
+
+    def finish(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Close the chunk: every visited ``(samples, nodes)`` pair in
+        row-major order."""
+        samples, nodes = np.divmod(np.sort(np.concatenate(self._keys)),
+                                   self._n)
+        self._member[samples, nodes] = False
+        self._keys = []
+        return samples, nodes
 
 
 def _expand_level(graph_csr, sample_ids: np.ndarray, node_ids: np.ndarray,
@@ -56,42 +91,100 @@ def _expand_level(graph_csr, sample_ids: np.ndarray, node_ids: np.ndarray,
     return edge_samples[live], indices[edge_ids[live]]
 
 
-def _next_frontier(n: int, sample_ids: np.ndarray,
-                   source_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dedupe newly visited (sample, node) pairs into the next frontier."""
-    return unique_pairs(n, sample_ids, source_ids)
-
-
-def _pack_visited(visited: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Extract one BFS chunk's sets as ``(per_set_counts, packed_nodes)``.
-
-    ``np.nonzero`` on the C-contiguous ``(chunk, n)`` visited matrix walks
-    row-major — rows in sample order, columns ascending within a row — so
-    the flattened column indices are exactly the concatenation of the
-    per-row ``np.nonzero(visited[k])[0]`` arrays the scalar extraction
-    produced, at a fraction of the Python overhead.
-    """
-    sample_ids, node_ids = np.nonzero(visited)
-    counts = np.bincount(sample_ids, minlength=visited.shape[0])
-    return counts, node_ids.astype(np.int64, copy=False)
-
-
-def _assemble_packed(count: int, counts_parts: List[np.ndarray],
-                     nodes_parts: List[np.ndarray]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate chunk slabs into one set-major ``(offsets, nodes)``."""
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    if counts_parts:
-        np.cumsum(np.concatenate(counts_parts), out=offsets[1:])
-    nodes = np.concatenate(nodes_parts) if nodes_parts \
-        else np.empty(0, dtype=np.int64)
-    return offsets, nodes
-
-
 def _as_views(offsets: np.ndarray, nodes: np.ndarray) -> List[np.ndarray]:
     """Slice a packed ``(offsets, nodes)`` pair into per-set views."""
     return [nodes[offsets[k]:offsets[k + 1]]
             for k in range(len(offsets) - 1)]
+
+
+def _sample_packed(graph: DirectedGraph, kind: str, count: int,
+                   rng: RngLike, roots: Optional[Sequence[int]],
+                   blocked: Optional[Dict[int, float]] = None,
+                   superior_utility: float = 0.0
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+    """The chunk loop of the three stream samplers.
+
+    ``blocked`` maps each fixed seed to its block utility (marginal
+    sampling only reads the keys).  Returns ``(offsets, nodes, weights,
+    roots)``.  Chunk sizes come from :func:`batch_size`; together with
+    the seed they fix the RNG stream, because roots are drawn per chunk.
+    """
+    rng = ensure_rng(rng)
+    count = max(int(count), 0)
+    n = graph.num_nodes
+    if count == 0 or n == 0:
+        return (np.zeros(count + 1, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.zeros(count, dtype=np.float64),
+                np.full(count, -1, dtype=np.int64))
+    if roots is not None:
+        roots = np.asarray(list(roots), dtype=np.int64)
+        if len(roots) != count:
+            raise ValueError(f"expected {count} roots, got {len(roots)}")
+        if roots.min() < 0 or roots.max() >= n:
+            raise ValueError(f"root ids must lie in [0, {n})")
+    blocked_mask = np.zeros(n, dtype=bool)
+    block_values = np.full(n, -np.inf)
+    for node, value in (blocked or {}).items():
+        node = int(node)
+        if 0 <= node < n:
+            blocked_mask[node] = True
+            block_values[node] = float(value)
+    graph_csr = graph.in_csr()
+    visits = VisitedPairs(batch_size(n, count), n)
+    counts_parts: List[np.ndarray] = []
+    nodes_parts: List[np.ndarray] = []
+    weights = np.zeros(count, dtype=np.float64)
+    all_roots = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        chunk = batch_size(n, count - done)
+        chunk_roots = rng.integers(0, n, size=chunk).astype(np.int64) \
+            if roots is None else roots[done:done + chunk]
+        visits.start(chunk_roots)
+        # marginal: the walk touched a fixed seed (the set is emptied);
+        # weighted: a fixed seed was found in the last explored level
+        stopped = blocked_mask[chunk_roots]
+        best_block = np.where(stopped, block_values[chunk_roots], -np.inf)
+        alive = ~stopped
+        front_samples = np.arange(chunk, dtype=np.int64)[alive]
+        front_nodes = chunk_roots[alive]
+        while len(front_samples):
+            front_samples, front_nodes = visits.add(*_expand_level(
+                graph_csr, front_samples, front_nodes, rng))
+            if kind == "standard":
+                continue
+            hit = blocked_mask[front_nodes]
+            if hit.any():
+                if kind == "weighted":
+                    # the whole level is explored before the stop check,
+                    # matching the scalar sampler (every fixed seed found
+                    # in this level counts)
+                    np.maximum.at(best_block, front_samples[hit],
+                                  block_values[front_nodes[hit]])
+                stopped[front_samples[hit]] = True
+                keep = ~stopped[front_samples]
+                front_samples = front_samples[keep]
+                front_nodes = front_nodes[keep]
+        sample_ids, node_ids = visits.finish()
+        if kind == "marginal":
+            # discarded samples are emptied, not dropped: they leave
+            # zero-length ranges in the packed output
+            live_set = ~stopped[sample_ids]
+            sample_ids, node_ids = sample_ids[live_set], node_ids[live_set]
+        elif kind == "weighted":
+            block_utility = np.where(np.isfinite(best_block), best_block,
+                                     0.0)
+            weights[done:done + chunk] = np.maximum(
+                0.0, float(superior_utility) - block_utility)
+        counts_parts.append(np.bincount(sample_ids, minlength=chunk))
+        nodes_parts.append(node_ids)
+        all_roots[done:done + chunk] = chunk_roots
+        done += chunk
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts_parts), out=offsets[1:])
+    return offsets, np.concatenate(nodes_parts), weights, all_roots
 
 
 def random_rr_sets_packed(graph: DirectedGraph, count: int,
@@ -106,42 +199,9 @@ def random_rr_sets_packed(graph: DirectedGraph, count: int,
     state.  The packed layout is what the sharded parallel builder ships
     between processes: one buffer per shard instead of one array per set.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return np.zeros(max(count, 0) + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(count + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        visited[rows, chunk_roots] = True
-        front_samples, front_nodes = rows, chunk_roots
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            visited[sample_ids, source_ids] = True
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids, source_ids)
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        done += chunk
-    return _assemble_packed(count, counts_parts, nodes_parts)
+    offsets, nodes, _, _ = _sample_packed(graph, "standard", count, rng,
+                                          roots)
+    return offsets, nodes
 
 
 def random_rr_sets(graph: DirectedGraph, count: int, rng: RngLike = None,
@@ -160,57 +220,9 @@ def marginal_rr_sets_packed(graph: DirectedGraph, blocked: Set[int],
     :func:`marginal_rr_sets`; discarded samples appear as zero-length set
     ranges exactly where the list API returns empty arrays.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return np.zeros(max(count, 0) + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(count + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    blocked_mask = np.zeros(n, dtype=bool)
-    for node in blocked:
-        node = int(node)
-        if 0 <= node < n:
-            blocked_mask[node] = True
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        dead = blocked_mask[chunk_roots].copy()
-        visited[rows, chunk_roots] = True
-        alive = ~dead
-        front_samples, front_nodes = rows[alive], chunk_roots[alive]
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            hit = blocked_mask[source_ids]
-            if hit.any():
-                dead[sample_ids[hit]] = True
-            visited[sample_ids, source_ids] = True
-            keep = ~dead[sample_ids]
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids[keep], source_ids[keep])
-        # discarded samples are emptied, not dropped: zeroing their rows
-        # leaves zero-length ranges in the packed output
-        if dead.any():
-            visited[dead] = False
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        done += chunk
-    return _assemble_packed(count, counts_parts, nodes_parts)
+    offsets, nodes, _, _ = _sample_packed(graph, "marginal", count, rng,
+                                          roots, dict.fromkeys(blocked, 0.0))
+    return offsets, nodes
 
 
 def marginal_rr_sets(graph: DirectedGraph, blocked: Set[int], count: int,
@@ -240,75 +252,8 @@ def weighted_rr_sets_packed(graph: DirectedGraph,
     stream) as :func:`weighted_rr_sets`, in the transport layout of the
     sharded parallel builder.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return (np.zeros(max(count, 0) + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64))
-    n = graph.num_nodes
-    if n == 0:
-        return (np.zeros(count + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.zeros(count, dtype=np.float64),
-                np.full(count, -1, dtype=np.int64))
-    blocked_mask = np.zeros(n, dtype=bool)
-    block_values = np.full(n, -np.inf)
-    for node, value in node_block_utility.items():
-        node = int(node)
-        if 0 <= node < n:
-            blocked_mask[node] = True
-            block_values[node] = float(value)
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    weights_parts: List[np.ndarray] = []
-    roots_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        best_block = np.full(chunk, -np.inf)
-        visited[rows, chunk_roots] = True
-        root_hit = blocked_mask[chunk_roots]
-        if root_hit.any():
-            best_block[root_hit] = block_values[chunk_roots[root_hit]]
-        alive = ~root_hit
-        front_samples, front_nodes = rows[alive], chunk_roots[alive]
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            visited[sample_ids, source_ids] = True
-            # the whole level is explored before the stop check, matching
-            # the scalar sampler (fixed seeds found in this level all count)
-            hit = blocked_mask[source_ids]
-            stopped = np.zeros(chunk, dtype=bool)
-            if hit.any():
-                np.maximum.at(best_block, sample_ids[hit],
-                              block_values[source_ids[hit]])
-                stopped[sample_ids[hit]] = True
-            keep = ~stopped[sample_ids]
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids[keep], source_ids[keep])
-        block_utility = np.where(np.isfinite(best_block), best_block, 0.0)
-        weights = np.maximum(0.0, float(superior_utility) - block_utility)
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        weights_parts.append(weights.astype(np.float64, copy=False))
-        roots_parts.append(chunk_roots)
-        done += chunk
-    offsets, nodes = _assemble_packed(count, counts_parts, nodes_parts)
-    return (offsets, nodes, np.concatenate(weights_parts),
-            np.concatenate(roots_parts))
+    return _sample_packed(graph, "weighted", count, rng, roots,
+                          node_block_utility, superior_utility)
 
 
 def weighted_rr_sets(graph: DirectedGraph,
@@ -333,6 +278,7 @@ def weighted_rr_sets(graph: DirectedGraph,
 
 
 __all__ = [
+    "VisitedPairs",
     "random_rr_sets",
     "random_rr_sets_packed",
     "marginal_rr_sets",

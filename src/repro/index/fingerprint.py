@@ -21,8 +21,10 @@ import numpy as np
 from repro.graphs.graph import DirectedGraph
 from repro.utility.model import UtilityModel
 
-#: bump when the hashed byte layout changes (invalidates older manifests)
-FINGERPRINT_VERSION = 1
+#: bump when the hashed byte layout changes, or when the same build
+#: parameters come to sample different RR-set contents (invalidates older
+#: manifests).  Version 2: serial PRIMA+ draws batched marginal sets.
+FINGERPRINT_VERSION = 2
 
 
 def _update_array(digest, array: np.ndarray) -> None:

@@ -29,14 +29,21 @@ from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
-from repro.rrsets.coverage import RRCollection, SelectionResult, node_selection
+from repro.rrsets.coverage import (
+    PackedRRBatch,
+    RRCollection,
+    SelectionResult,
+    node_selection,
+)
 from repro.rrsets.rrset import marginal_rr_set, random_rr_set
 from repro.utils.rng import RngLike, derive_seed, ensure_rng
 
 #: A sampler returns one RR set as ``(nodes, weight)``.
 Sampler = Callable[[np.random.Generator], Tuple[np.ndarray, float]]
 
-#: A batch sampler returns ``count`` RR sets as ``(nodes, weight)`` pairs.
+#: A batch sampler returns ``count`` RR sets as ``(nodes, weight)`` pairs
+#: or as one :class:`~repro.rrsets.coverage.PackedRRBatch`, which
+#: collections splice in bulk.
 BatchSampler = Callable[[np.random.Generator, int],
                         Sequence[Tuple[np.ndarray, float]]]
 
@@ -305,11 +312,11 @@ def imm(graph: DirectedGraph, k: int,
 
     batch_sampler: Optional[BatchSampler] = None
     if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import random_rr_sets
+        from repro.engine.reverse import random_rr_sets_packed
 
         def batch_sampler(generator: np.random.Generator, count: int):
-            return [(nodes, 1.0)
-                    for nodes in random_rr_sets(graph, count, generator)]
+            offsets, nodes = random_rr_sets_packed(graph, count, generator)
+            return PackedRRBatch(offsets, nodes, np.ones(count))
 
     rng = ensure_rng(rng)
     with _parallel_sampler(graph, "standard", engine, rng,
@@ -338,12 +345,12 @@ def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
 
     batch_sampler: Optional[BatchSampler] = None
     if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import marginal_rr_sets
+        from repro.engine.reverse import marginal_rr_sets_packed
 
         def batch_sampler(generator: np.random.Generator, count: int):
-            return [(nodes, 1.0)
-                    for nodes in marginal_rr_sets(graph, blocked, count,
-                                                  generator)]
+            offsets, nodes = marginal_rr_sets_packed(graph, blocked, count,
+                                                     generator)
+            return PackedRRBatch(offsets, nodes, np.ones(count))
 
     rng = ensure_rng(rng)
     with _parallel_sampler(graph, "marginal", engine, rng, workers,

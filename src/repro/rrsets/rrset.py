@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.allocation import Allocation
 from repro.graphs.graph import DirectedGraph
+from repro.rrsets.coverage import PackedRRBatch
 from repro.utility.model import UtilityModel
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -247,29 +248,22 @@ class WeightedRRSampler:
         return [WeightedRRSet(nodes=nodes, weight=weight, root=root)
                 for nodes, weight, root in raw]
 
-    def sample_pairs(self, rng: RngLike = None, count: int = 1
-                     ) -> List[Tuple[np.ndarray, float]]:
-        """Sample ``count`` weighted RR sets as bare ``(nodes, weight)``
-        pairs.
+    def sample_pairs(self, rng: RngLike = None,
+                     count: int = 1) -> PackedRRBatch:
+        """Sample ``count`` weighted RR sets as one packed batch.
 
         The feed format of :meth:`RRCollection.extend
-        <repro.rrsets.coverage.RRCollection.extend>` and the IMM engine's
-        batch samplers — identical draws to :meth:`sample_batch` without
+        <repro.rrsets.coverage.RRCollection.extend>`, which splices it in
+        bulk; iterating the batch yields the bare ``(nodes, weight)``
+        pairs.  Identical draws to :meth:`sample_batch` without
         materializing the :class:`WeightedRRSet` wrappers.
         """
-        rng = ensure_rng(rng)
-        count = int(count)
-        if count <= 0:
-            return []
-        if self._graph.num_nodes == 0:
-            return [(np.empty(0, dtype=np.int64), 0.0)
-                    for _ in range(count)]
-        from repro.engine.reverse import weighted_rr_sets
+        from repro.engine.reverse import weighted_rr_sets_packed
 
-        return [(nodes, weight)
-                for nodes, weight, _root in weighted_rr_sets(
-                    self._graph, self._node_block_utility,
-                    self._superior_utility, count, rng)]
+        offsets, nodes, weights, _roots = weighted_rr_sets_packed(
+            self._graph, self._node_block_utility, self._superior_utility,
+            count, rng)
+        return PackedRRBatch(offsets, nodes, weights)
 
 
 __all__ = [

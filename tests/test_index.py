@@ -168,6 +168,31 @@ class TestFingerprints:
             graph, model, **dict(base, extra={"k": 4})) != reference
         assert index_fingerprint(graph, None, **base) != reference
 
+    def test_version_1_index_fails_verification(self, tmp_path,
+                                                monkeypatch):
+        """Version 2 changed what a serial marginal build samples, so an
+        index fingerprinted under version 1 is rejected as stale."""
+        from repro.graphs.datasets import load_network
+        from repro.index import fingerprint
+        from repro.serve import load_service
+        from repro.utility.configs import configuration_model
+
+        def build(path):
+            build_index(load_network("nethept", scale=0.01, rng=4),
+                        configuration_model("C1"), sampler="marginal",
+                        budgets={"i": 2, "j": 2}, options=OPTIONS, seed=4,
+                        meta_extra={"network": "nethept", "scale": 0.01,
+                                    "configuration": "C1",
+                                    "graph_seed": 4}).save(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint, "FINGERPRINT_VERSION", 1)
+            build(tmp_path / "v1")
+        with pytest.raises(IndexStoreError, match="stale index"):
+            load_service(tmp_path / "v1")
+        build(tmp_path / "current")
+        assert load_service(tmp_path / "current").service is not None
+
 
 class TestParallelDeterminism:
     def test_sharded_sampler_worker_count_invariant(self, graph):

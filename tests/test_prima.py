@@ -1,13 +1,17 @@
 """Tests for PRIMA+ (prefix-preserving seed selection on marginals)."""
 
+import numpy as np
 import pytest
 
 from repro.diffusion.estimators import estimate_marginal_spread, estimate_spread
+from repro.engine.reverse import marginal_rr_sets_packed
 from repro.exceptions import AlgorithmError
 from repro.core.prima import prima_plus
 from repro.graphs import generators, weighting
 from repro.graphs.graph import DirectedGraph
+from repro.rrsets.coverage import PackedRRBatch, RRCollection
 from repro.rrsets.imm import IMMOptions, imm
+from repro.rrsets.rrset import marginal_rr_set
 
 FAST = IMMOptions(max_rr_sets=8_000)
 
@@ -80,3 +84,38 @@ class TestPrimaPlus:
         graph = generators.line_graph(4)
         result = prima_plus(graph, [0, 1], [5], 5, options=FAST, rng=1)
         assert len(result.seeds) <= 2
+
+
+class TestPrimaEngine:
+    """PRIMA+ draws its serial marginal RR sets through its ``engine``."""
+
+    #: every round's target exceeds the cap and the final phase reuses the
+    #: capped collection, so one sampling request fills it
+    ONE_REQUEST = IMMOptions(max_rr_sets=100, fresh_final_sampling=False)
+    FIXED = [0, 1, 2]
+
+    def expected(self, graph, engine):
+        rng = np.random.default_rng(5)
+        blocked = set(self.FIXED)
+        collection = RRCollection(graph.num_nodes)
+        if engine == "python":
+            for _ in range(100):
+                collection.add(marginal_rr_set(graph, blocked, rng))
+        else:
+            offsets, nodes = marginal_rr_sets_packed(graph, blocked, 100,
+                                                     rng)
+            collection.extend(PackedRRBatch(offsets, nodes, np.ones(100)))
+        return collection
+
+    @pytest.mark.parametrize("engine", ["python", "vectorized"])
+    def test_collection_is_the_engine_stream(self, small_er_graph, engine):
+        result = prima_plus(small_er_graph, self.FIXED, [2, 4], 4,
+                            options=self.ONE_REQUEST,
+                            rng=np.random.default_rng(5),
+                            keep_collection=True, engine=engine)
+        assert result.num_rr_sets == 100
+        for got, want in zip(result.collection._packed(),
+                             self.expected(small_er_graph, engine)._packed()):
+            np.testing.assert_array_equal(got, want)
+        spreads = result.prefix_marginal_spreads
+        assert all(a <= b for a, b in zip(spreads, spreads[1:]))

@@ -216,6 +216,37 @@ class TestSamplerRouting:
                 item: list(nodes) for item, nodes
                 in direct.result.allocation.as_dict().items()}
 
+    SUPGRD_J = RunSpec(
+        algorithm="SupGRD",
+        workload=WorkloadSpec(network="nethept", scale=0.01,
+                              configuration="C1", budgets={"j": 2},
+                              superior_item="j"),
+        engine=EngineConfig(seed=4, samples=10, max_rr_sets=2000))
+
+    @pytest.mark.parametrize("sup_i, sup_j", [
+        ("a-sup-i", "b-sup-j"), ("b-sup-i", "a-sup-j")])
+    def test_supgrd_served_by_its_superior_items_index(
+            self, instance, tmp_path, sup_i, sup_j):
+        """Two weighted indexes of one instance, sampled for different
+        superior items: each SupGRD spec lands on its own item's index."""
+        from repro.api import run as run_spec
+
+        graph, model = instance
+        save_index(graph, model, self.SUPGRD, tmp_path / sup_i,
+                   sampler="weighted")
+        save_index(graph, model, self.SUPGRD_J, tmp_path / sup_j,
+                   sampler="weighted")
+        server = AllocationServer(IndexRegistry(directory=tmp_path))
+        for request_spec, expected in ((self.SUPGRD, sup_i),
+                                       (self.SUPGRD_J, sup_j)):
+            response = serve(server, make_request(request_spec))
+            assert response["ok"] is True, response
+            assert response["server"]["index"] == expected
+            direct = run_spec(request_spec, graph=graph, model=model)
+            assert response["allocation"] == {
+                item: list(nodes) for item, nodes
+                in direct.result.allocation.as_dict().items()}
+
 
 class TestServeMatchesRun:
     """Acceptance: `repro run` and an equivalent serve request produce
