@@ -59,8 +59,9 @@ accepts an in-place graph-delta repair::
         "scan": {...}, "latency_ms": 1.9}
 
 The repaired index is persisted atomically and hot-swapped without a
-restart (same semantics as a SIGHUP rescan); a zero-op delta is a no-op
-that leaves the on-disk artifact untouched.  Repairable indexes are
+restart: the registry rescans as on SIGHUP, then keeps the repaired
+build resident instead of reloading it on the next request; a zero-op
+delta is a no-op that leaves the on-disk artifact untouched.  Repairable indexes are
 never routed by v1 specs — the keyed coin stream is not bit-identical to
 the stream-RNG engines — so the bit-identity contract above is
 unaffected.  Manifest ``meta["dynamic"]["staleness"]`` accumulates

@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay", help="replay a seeded query/delta trace against a "
                        "repairable index served in-process (throughput, "
-                       "repair latency and staleness over time)")
+                       "repair latency and staleness over time); exits 1 "
+                       "when any replayed event errored")
     replay.add_argument("--index", type=Path, required=True,
                         help="repairable index path stem (or its "
                              ".npz/.manifest.json)")
@@ -995,9 +996,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.out is not None:
         args.out.write_text(json.dumps(summary, indent=2) + "\n",
                             encoding="utf-8")
+    # errored events fail the run, so a CI replay step can catch them
+    status = 1 if summary["errors"] else 0
     if args.json:
         print(json.dumps(summary, indent=2))
-        return 0
+        return status
     query, repair = summary["query"], summary["repair"]
     print(f"replayed {summary['events']} events against {stem.name}: "
           f"{summary['queries']} queries, {summary['deltas']} deltas, "
@@ -1016,7 +1019,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"  staleness: "
               f"{last['cumulative_repaired_fraction']:.1%} cumulative at "
               f"epoch {last['epoch']}")
-    return 0
+    return status
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -284,9 +284,11 @@ from repro.api.registry import RunContext, register_algorithm  # noqa: E402
 def _run_supgrd(ctx: RunContext):
     if len(ctx.budgets) != 1:
         raise AlgorithmError("SupGRD allocates exactly one item")
+    # the one item narrow_single_item_budgets kept: the item the served
+    # route allocates too, even when the spec's superior_item has no budget
     ((item, budget),) = ctx.budgets.items()
     return supgrd(ctx.graph, ctx.model, budget, ctx.fixed_allocation,
-                  superior_item=ctx.superior_item or item,
+                  superior_item=item,
                   enforce_preconditions=False,
                   options=ctx.options, rng=ctx.rng, engine=ctx.engine,
                   workers=ctx.workers, index=ctx.index,

@@ -38,7 +38,6 @@ needs and everything a loader needs to reconstruct the current graph:
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -111,35 +110,39 @@ def replace_sets(offsets: np.ndarray, nodes: np.ndarray,
         return offsets, nodes, weights
     num_sets = len(offsets) - 1
     replaced = np.asarray(sorted(replacements), dtype=np.int64)
-    if replaced.size and (replaced[0] < 0 or replaced[-1] >= num_sets):
+    if replaced[0] < 0 or replaced[-1] >= num_sets:
         raise IndexStoreError(
             f"replacement set ids must lie in [0, {num_sets})")
+    chosen = [replacements[idx] for idx in replaced.tolist()]
+    fresh = np.concatenate([members for members, _ in chosen],
+                           dtype=np.int64, casting="unsafe")
+    fresh_lengths = np.fromiter((len(members) for members, _ in chosen),
+                                dtype=np.int64, count=len(chosen))
+    outside = (fresh < 0) | (fresh >= num_nodes)
+    if outside.any():
+        owner = np.searchsorted(np.cumsum(fresh_lengths),
+                                np.argmax(outside), side="right")
+        raise IndexStoreError(
+            f"replacement set {int(replaced[owner])} has members outside "
+            f"[0, {num_nodes})")
     lengths = np.diff(offsets).astype(np.int64)
-    for idx in replacements:
-        lengths[idx] = len(replacements[idx][0])
+    kept = np.ones(num_sets, dtype=bool)
+    kept[replaced] = False
+    new_lengths = lengths.copy()
+    new_lengths[replaced] = fresh_lengths
     new_offsets = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_offsets[1:])
+    np.cumsum(new_lengths, out=new_offsets[1:])
     dtype = np.promote_types(nodes.dtype, min_id_dtype(num_nodes))
     new_nodes = np.empty(int(new_offsets[-1]), dtype=dtype)
-    new_weights = np.asarray(weights, dtype=np.float64).copy()
-    # copy untouched sets in contiguous runs between replaced indices
-    bounds = np.concatenate([[-1], replaced, [num_sets]])
-    for left, right in zip(bounds[:-1], bounds[1:]):
-        lo, hi = int(left) + 1, int(right)
-        if lo < hi:
-            new_nodes[new_offsets[lo]:new_offsets[hi]] = \
-                nodes[offsets[lo]:offsets[hi]]
-    for idx in replacements:
-        members, weight = replacements[idx]
-        members = np.asarray(members, dtype=np.int64)
-        if members.size and (members.min() < 0
-                             or members.max() >= num_nodes):
-            raise IndexStoreError(
-                f"replacement set {idx} has members outside "
-                f"[0, {num_nodes})")
-        new_nodes[new_offsets[idx]:new_offsets[idx + 1]] = \
-            members.astype(dtype, copy=False)
-        new_weights[idx] = float(weight)
+    # untouched members keep their relative order; the replacements fill
+    # the gaps, which ascend with the sorted set ids
+    new_kept = np.repeat(kept, new_lengths)
+    new_nodes[new_kept] = nodes[np.repeat(kept, lengths)]
+    new_nodes[~new_kept] = fresh
+    new_weights = np.array(weights, dtype=np.float64)
+    new_weights[replaced] = np.fromiter(
+        (weight for _, weight in chosen), dtype=np.float64,
+        count=len(chosen))
     return new_offsets, new_nodes, new_weights
 
 
@@ -265,8 +268,10 @@ class RRRepairEngine:
             return RepairOutcome(index=index, graph=graph, report=report,
                                  repaired_ids=np.empty(0, dtype=np.int64))
 
-        meta = copy.deepcopy(index.meta)
-        dynamic = meta["dynamic"]
+        # copy only the levels this repair writes: recorded history
+        # entries are never mutated, so the new manifest shares them
+        meta = dict(index.meta)
+        dynamic = meta["dynamic"] = dict(meta["dynamic"])
         base_seed = int(dynamic["base_seed"])
         sampler = str(dynamic["sampler"])
         epoch = int(dynamic["epoch"]) + 1
@@ -295,7 +300,7 @@ class RRRepairEngine:
         fraction = float(len(repaired_ids)) / num_sets if num_sets else 0.0
         staleness = dict(dynamic.get("staleness") or {})
         dynamic["epoch"] = epoch
-        dynamic.setdefault("deltas", []).append(delta.to_dict())
+        dynamic["deltas"] = [*(dynamic.get("deltas") or ()), delta.to_dict()]
         dynamic["staleness"] = {
             "epoch": epoch,
             "deltas_applied":

@@ -131,11 +131,17 @@ def reroot(base_seed: int, indices, roots, old_n: int, new_n: int,
     return new_roots.astype(np.int64), moved
 
 
-def _edge_coins(seeds: np.ndarray, src: np.ndarray,
-                dst: np.ndarray) -> np.ndarray:
-    """Uniform draws for (set, edge) keys (seeds aligned with edges)."""
-    return u01(mix64(seeds ^ mix64(src.astype(np.uint64)
-                                   ^ mix64(dst.astype(np.uint64)))))
+def _in_edge_keys(indptr: np.ndarray, in_sources: np.ndarray
+                  ) -> np.ndarray:
+    """The set-independent half of every coin key, per in-CSR edge.
+
+    Position ``e`` of the in-CSR holds edge ``src -> dst`` with ``dst``
+    the row; its key ``mix64(src ^ mix64(dst))`` does not depend on the
+    RR set, so one O(n + E) pass leaves a gathered edge one ``mix64``.
+    """
+    dst_keys = mix64(np.arange(len(indptr) - 1, dtype=np.uint64))
+    return mix64(in_sources.astype(np.uint64)
+                 ^ np.repeat(dst_keys, np.diff(indptr)))
 
 
 def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
@@ -164,6 +170,7 @@ def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
     if roots.size and (roots.min() < 0 or roots.max() >= n):
         raise ValueError(f"root ids must lie in [0, {n})")
     indptr, in_sources, in_probs = graph.in_csr()
+    edge_keys = _in_edge_keys(indptr, in_sources)
     seeds = set_seeds(base_seed, indices)
 
     blocked_mask = None
@@ -187,7 +194,7 @@ def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
         lo, hi = done, done + chunk
         results.extend(_sample_chunk(
             visits, seeds[lo:hi], roots[lo:hi],
-            (indptr, in_sources, in_probs), kind, blocked_mask,
+            (indptr, in_sources, in_probs, edge_keys), kind, blocked_mask,
             block_values, float(superior_utility)))
         done = hi
     return results
@@ -197,7 +204,7 @@ def _sample_chunk(visits: VisitedPairs, seeds: np.ndarray,
                   roots: np.ndarray, in_csr, kind: str,
                   blocked_mask, block_values,
                   superior_utility: float) -> List[Tuple[np.ndarray, float]]:
-    indptr, in_sources, in_probs = in_csr
+    indptr, in_sources, in_probs, edge_keys = in_csr
     k = seeds.size
     rows = np.arange(k, dtype=np.int64)
     visits.start(roots)
@@ -220,11 +227,10 @@ def _sample_chunk(visits: VisitedPairs, seeds: np.ndarray,
     sample_ids = rows[active]
     node_ids = roots[active]
     while sample_ids.size:
-        # gather the frontier's in-edges, carrying (sample, dst) per edge
-        edge_ids, edge_samples, edge_dsts = gather_csr_edges(
-            indptr, node_ids, sample_ids, node_ids)
-        coins = _edge_coins(seeds[edge_samples], in_sources[edge_ids],
-                            edge_dsts)
+        # gather the frontier's in-edges, carrying the sample per edge
+        edge_ids, edge_samples = gather_csr_edges(indptr, node_ids,
+                                                  sample_ids)
+        coins = u01(mix64(seeds[edge_samples] ^ edge_keys[edge_ids]))
         live = coins < in_probs[edge_ids]
         src_samples, src_nodes = visits.add(edge_samples[live],
                                             in_sources[edge_ids[live]])

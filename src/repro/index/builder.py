@@ -36,7 +36,7 @@ from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
 from repro.exceptions import AlgorithmError, IndexStoreError
 from repro.graphs.graph import DirectedGraph
 from repro.index.fingerprint import index_fingerprint
-from repro.index.frozen import FrozenRRIndex
+from repro.index.frozen import FrozenRRIndex, write_manifest
 from repro.index.pool import acquire_pool, discard_pool, release_pool
 from repro.obs.metrics import get_metrics
 from repro.rrsets.coverage import PackedRRBatch, RRCollection, min_id_dtype
@@ -614,9 +614,7 @@ def _update_manifest_meta(manifest_path, meta: Dict[str, Any]) -> None:
 
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     manifest["meta"] = meta
-    Path(manifest_path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str),
-        encoding="utf-8")
+    write_manifest(manifest_path, manifest)
 
 
 def expected_index_fingerprint(graph: DirectedGraph,

@@ -77,6 +77,19 @@ def index_paths(path: Union[str, Path]) -> Tuple[Path, Path]:
             stem.with_name(stem.name + ".manifest.json"))
 
 
+def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> None:
+    """Write an index manifest as compact, key-sorted JSON.
+
+    The one manifest encoder of every index writer.  No indent: with one,
+    :mod:`json` falls back to its pure-Python encoder, and a repairable
+    index's manifest carries its whole delta history.
+    """
+    Path(path).write_text(
+        json.dumps(manifest, sort_keys=True, default=str,
+                   separators=(",", ":")),
+        encoding="utf-8")
+
+
 def _is_memmapped(array: Optional[np.ndarray]) -> bool:
     """Whether ``array`` is (a view of) a :class:`np.memmap`.
 
@@ -364,9 +377,7 @@ class FrozenRRIndex(PackedCoverage):
             "array_bytes": self.array_nbytes(),
             "meta": self._meta,
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2,
-                                            sort_keys=True, default=str),
-                                 encoding="utf-8")
+        write_manifest(manifest_path, manifest)
         return npz_path, manifest_path
 
     @classmethod
@@ -506,4 +517,4 @@ class FrozenRRIndex(PackedCoverage):
 
 
 __all__ = ["FORMAT_VERSION", "SUPPORTED_FORMAT_VERSIONS", "FrozenRRIndex",
-           "index_paths"]
+           "index_paths", "write_manifest"]

@@ -26,7 +26,6 @@ order:
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import AlgorithmError, IndexStoreError
-from repro.index.frozen import FORMAT_VERSION, index_paths
+from repro.index.frozen import FORMAT_VERSION, index_paths, write_manifest
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import get_metrics
 from repro.rrsets.coverage import PackedRRBatch, min_id_dtype, min_set_dtype
@@ -334,9 +333,7 @@ class StreamingIndexWriter:
             "array_bytes": array_bytes,
             "meta": dict(meta or {}),
         }
-        self._manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, default=str),
-            encoding="utf-8")
+        write_manifest(self._manifest_path, manifest)
         del members, inv_sets
         for tmp in (self._members_tmp, inv_tmp):
             try:

@@ -22,7 +22,16 @@ Memory discipline:
   appear, deleted ones disappear, and entries whose manifest changed on
   disk drop their loaded service so the next request loads the new build.
   ``repro serve`` wires this to ``SIGHUP`` and the ``{"op": "reload"}``
-  protocol op.
+  protocol op;
+* **repairs stay resident** — :meth:`IndexRegistry.apply_delta` persists
+  and rescans like a reload, then installs the repaired build itself
+  (re-opened from the files it wrote, verified against the graph it was
+  repaired on), so a repair never costs the next request a rebuild of
+  the workload graph and a replay of the delta history.
+
+:func:`load_service` is the one cold load; it runs two steps, rebuilding
+the instance from the manifest and serving the index over it, and a
+repair runs only the second.
 """
 
 from __future__ import annotations
@@ -91,11 +100,21 @@ def load_service(index_path: Union[str, Path], *, verify: bool = True,
     back to a full in-RAM load.  Served allocations are bit-identical
     either way.
     """
-    from repro.api.runner import load_graph
-    from repro.index.builder import expected_index_fingerprint
-
     index = FrozenRRIndex.load(index_path, mmap=mmap)
-    meta = index.meta
+    graph, model = _rebuild_instance(index.meta)
+    return _serve_index(index, graph, model, index_path, verify=verify,
+                        cache_size=cache_size,
+                        selection_strategy=selection_strategy)
+
+
+def _rebuild_instance(meta: Mapping[str, Any]) -> Tuple[Any, Any]:
+    """The ``(graph, model)`` a manifest's ``meta`` describes.
+
+    A repaired index reflects the workload graph *plus* its recorded
+    delta history, so the history is replayed onto the pristine graph.
+    """
+    from repro.api.runner import load_graph
+
     network = meta.get("network")
     configuration = meta.get("configuration")
     if network is None or configuration not in CONFIGURATIONS:
@@ -108,13 +127,24 @@ def load_service(index_path: Union[str, Path], *, verify: bool = True,
         WorkloadSpec(network=str(network), scale=meta.get("scale")),
         seed=int(meta.get("graph_seed", meta.get("seed", 0))))
     if meta.get("dynamic"):
-        # a repaired index reflects the workload graph *plus* its
-        # manifest's recorded delta history — replay it so fingerprint
-        # verification and serving see the drifted graph
         from repro.dynamic.repair import replay_deltas
 
         graph = replay_deltas(graph, meta)
-    model = configuration_model(str(configuration))
+    return graph, configuration_model(str(configuration))
+
+
+def _serve_index(index: FrozenRRIndex, graph: Any, model: Any,
+                 index_path: Union[str, Path], *, verify: bool,
+                 cache_size: int, selection_strategy: Optional[str]
+                 ) -> LoadedService:
+    """Serve ``index`` over a given instance.
+
+    With ``verify`` the stored fingerprint must equal the one the
+    instance hashes to; a mismatch raises :class:`IndexStoreError`.
+    """
+    from repro.index.builder import expected_index_fingerprint
+
+    meta = index.meta
     if verify:
         expected = expected_index_fingerprint(graph, model, meta)
         if expected != index.fingerprint:
@@ -339,45 +369,7 @@ class IndexRegistry:
                 cache_size=self._cache_size,
                 selection_strategy=self._selection_strategy,
                 mmap=self._mmap)
-            result: Optional[LoadedService] = None
-            installed = False
-            evicted: List[str] = []
-            with self._lock:
-                current = self._entries.get(key)
-                if current is None:  # removed by a concurrent reload
-                    return loaded
-                fresh = current.meta.get("fingerprint")
-                if fresh == expected \
-                        and loaded.service.index.meta.get("fingerprint") \
-                        == fresh:
-                    if current.loaded is None:
-                        current.loaded = loaded
-                        current.loads += 1
-                        self._loads += 1
-                        installed = True
-                    self._lru[key] = None
-                    self._lru.move_to_end(key)
-                    while len(self._lru) > self._capacity or (
-                            self._memory_budget is not None
-                            and len(self._lru) > 1
-                            and self._resident_bytes_locked()
-                            > self._memory_budget):
-                        victim, _ = self._lru.popitem(last=False)
-                        victim_entry = self._entries.get(victim)
-                        if victim_entry is not None:
-                            victim_entry.loaded = None
-                        self._evictions += 1
-                        self._eviction_log.append(victim)
-                        evicted.append(victim)
-                    result = current.loaded
-            # log outside the lock: handlers may block on I/O
-            if installed:
-                log_event(_LOG, logging.INFO, "index-loaded", index=key,
-                          num_rr_sets=entry.num_sets,
-                          num_nodes=entry.num_nodes)
-            for victim in evicted:
-                log_event(_LOG, logging.INFO, "index-evicted",
-                          index=victim, evicted_by=key)
+            result = self._publish(key, expected, loaded)
             if result is not None:
                 return result
             # the manifest changed while we were loading: what we loaded
@@ -389,16 +381,81 @@ class IndexRegistry:
             f"index {key!r} kept changing on disk while loading; "
             f"retry once the rebuild settles")
 
+    def _publish(self, key: str, expected: Optional[str],
+                 loaded: LoadedService) -> Optional[LoadedService]:
+        """Install a build computed outside the lock (compute-then-publish).
+
+        ``loaded`` becomes ``key``'s resident service only while the
+        entry's manifest fingerprint still equals ``expected`` and the
+        build carries that fingerprint too; a build some other thread
+        installed first wins.  Installing counts in ``loads``, logs
+        ``index-loaded`` and LRU/memory-budget evicts.  Returns the
+        resident service, ``loaded`` itself if the entry is gone, or
+        ``None`` when the manifest moved on (``loaded`` is stale).
+        """
+        result: Optional[LoadedService] = None
+        installed = False
+        evicted: List[str] = []
+        with self._lock:
+            current = self._entries.get(key)
+            if current is None:  # removed by a concurrent reload
+                return loaded
+            fresh = current.meta.get("fingerprint")
+            if fresh == expected \
+                    and loaded.service.index.meta.get("fingerprint") \
+                    == fresh:
+                if current.loaded is None:
+                    current.loaded = loaded
+                    current.loads += 1
+                    self._loads += 1
+                    installed = True
+                self._lru[key] = None
+                self._lru.move_to_end(key)
+                while len(self._lru) > self._capacity or (
+                        self._memory_budget is not None
+                        and len(self._lru) > 1
+                        and self._resident_bytes_locked()
+                        > self._memory_budget):
+                    victim, _ = self._lru.popitem(last=False)
+                    victim_entry = self._entries.get(victim)
+                    if victim_entry is not None:
+                        victim_entry.loaded = None
+                    self._evictions += 1
+                    self._eviction_log.append(victim)
+                    evicted.append(victim)
+                result = current.loaded
+        # log outside the lock: handlers may block on I/O
+        if installed:
+            log_event(_LOG, logging.INFO, "index-loaded", index=key,
+                      num_rr_sets=current.num_sets,
+                      num_nodes=current.num_nodes)
+        for victim in evicted:
+            log_event(_LOG, logging.INFO, "index-evicted",
+                      index=victim, evicted_by=key)
+        return result
+
     def apply_delta(self, key: str, delta: Any) -> Dict[str, Any]:
         """Repair a hosted index under a graph delta, without restart.
 
         The ``{"op": "apply-delta"}`` server op lands here: loads the
         index if needed, repairs it against the delta, atomically
-        rewrites the on-disk pair, then rescans — the scan sees the
-        changed manifest and drops the stale loaded service, so the next
-        request serves the repaired build (exactly the
-        ``SIGHUP``/``reload`` semantics).  A zero-delta leaves the files
-        untouched (bit-identical by contract) and skips the rescan.
+        rewrites the on-disk pair and rescans, which retires the old
+        service.  The repaired build then stays resident: the files just
+        written are re-opened (mmap-first, like every load) and served
+        over the graph the repair produced, verified against it like a
+        cold load, so the next request neither rebuilds the workload
+        graph nor replays the delta history.  The install goes through
+        the same publish step as a lazy load; if the manifest moved on
+        meanwhile, the entry is left for the lazy path.  A zero-delta
+        leaves the files untouched (bit-identical by contract) and skips
+        the rescan.
+
+        Raises
+        ------
+        IndexStoreError
+            When the repaired build fails fingerprint verification (the
+            persisted files stay; the next load rejects them the same
+            way).
         """
         from repro.dynamic.delta import GraphDelta
         from repro.dynamic.repair import RRRepairEngine, save_repaired
@@ -415,6 +472,14 @@ class IndexRegistry:
         if not outcome.report.zero_delta:
             save_repaired(outcome.index, entry.stem)
             summary["scan"] = self.scan()
+            index = FrozenRRIndex.load(entry.stem, mmap=self._mmap)
+            # files another writer replaced meanwhile are not this build:
+            # leave them to the lazy path
+            if index.fingerprint == outcome.index.fingerprint:
+                self._publish(key, index.fingerprint, _serve_index(
+                    index, outcome.graph, loaded.model, entry.stem,
+                    verify=self._verify, cache_size=self._cache_size,
+                    selection_strategy=self._selection_strategy))
         log_event(_LOG, logging.INFO, "index-repaired", index=key,
                   epoch=outcome.report.epoch,
                   repaired_sets=outcome.report.repaired_sets,

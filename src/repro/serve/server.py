@@ -606,9 +606,11 @@ class AllocationServer:
         routed = time.perf_counter()
         trace.add("validate", routed - started)
         if op == "apply-delta":
-            # repair → atomic rewrite → rescan: the server picks up the
-            # repaired build without restart while in-flight queries keep
-            # their (still-mapped) old arrays
+            # repair → atomic rewrite → rescan → install: the repaired
+            # build stays resident, verified against the graph it was
+            # repaired on, so the next query neither rebuilds nor
+            # replays; in-flight queries keep their (still-mapped) old
+            # arrays
             body = dict(ok=True, **self._registry.apply_delta(
                 key, request.get("delta") or {}))
             served: Optional[str] = None

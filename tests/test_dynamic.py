@@ -217,6 +217,30 @@ class TestRepairExactness:
         assert len(outcome.index.meta["dynamic"]["deltas"]) == 3
         assert_index_equal(outcome.index, rebuild(outcome.graph))
 
+    def test_repair_leaves_its_input_meta_unchanged(self, small_er_graph):
+        """Repairs share the recorded history with their input instead of
+        deep-copying it, so neither the input's epoch, nor its delta
+        list, nor its staleness block may move."""
+        import copy
+
+        graph = small_er_graph
+        engine = RRRepairEngine(rebuild(graph), graph)
+        rng = np.random.default_rng(5)
+        engine.repair(random_edge_delta(engine.graph, 0.01, seed=rng))
+        first = engine.index
+        before = copy.deepcopy(first.meta)
+        second = engine.repair(
+            random_edge_delta(engine.graph, 0.01, seed=rng)).index
+        assert first.meta == before
+        assert first.meta["dynamic"]["epoch"] == 1
+        assert len(first.meta["dynamic"]["deltas"]) == 1
+        assert first.meta["dynamic"]["staleness"] == \
+            before["dynamic"]["staleness"]
+        assert second.meta["dynamic"]["epoch"] == 2
+        assert second.meta["dynamic"]["deltas"][0] == \
+            first.meta["dynamic"]["deltas"][0]
+        assert len(second.meta["dynamic"]["deltas"]) == 2
+
     @pytest.mark.parametrize("kind,kwargs", [
         ("marginal", {"blocked": [2, 5, 9]}),
         ("weighted", {"superior_utility": 1.0,
@@ -270,8 +294,36 @@ class TestRepairExactness:
 
 
 # ----------------------------------------------------------------------
-# replace_sets dtype handling
+# replace_sets
 # ----------------------------------------------------------------------
+def _replace_sets_loop(offsets, nodes, weights, replacements, num_nodes):
+    """Reference oracle: the per-set copy loop replace_sets replaced."""
+    from repro.rrsets.coverage import min_id_dtype
+
+    num_sets = len(offsets) - 1
+    replaced = np.asarray(sorted(replacements), dtype=np.int64)
+    lengths = np.diff(offsets).astype(np.int64)
+    for idx in replacements:
+        lengths[idx] = len(replacements[idx][0])
+    new_offsets = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    dtype = np.promote_types(nodes.dtype, min_id_dtype(num_nodes))
+    new_nodes = np.empty(int(new_offsets[-1]), dtype=dtype)
+    new_weights = np.asarray(weights, dtype=np.float64).copy()
+    bounds = np.concatenate([[-1], replaced, [num_sets]])
+    for left, right in zip(bounds[:-1], bounds[1:]):
+        lo, hi = int(left) + 1, int(right)
+        if lo < hi:
+            new_nodes[new_offsets[lo]:new_offsets[hi]] = \
+                nodes[offsets[lo]:offsets[hi]]
+    for idx in replacements:
+        members, weight = replacements[idx]
+        new_nodes[new_offsets[idx]:new_offsets[idx + 1]] = \
+            np.asarray(members, dtype=np.int64).astype(dtype, copy=False)
+        new_weights[idx] = float(weight)
+    return new_offsets, new_nodes, new_weights
+
+
 class TestReplaceSets:
     def test_zero_replacements_return_original_objects(self):
         offsets = np.array([0, 2, 3], dtype=np.int64)
@@ -298,6 +350,61 @@ class TestReplaceSets:
         with pytest.raises(IndexStoreError):
             replace_sets(offsets, nodes, np.ones(1),
                          {0: (np.array([9]), 1.0)}, 5)
+
+    def test_set_id_out_of_range(self):
+        offsets = np.array([0, 1, 2], dtype=np.int64)
+        nodes = np.array([0, 1], dtype=np.int32)
+        for bad in (-1, 2):
+            with pytest.raises(IndexStoreError, match=r"set ids"):
+                replace_sets(offsets, nodes, np.ones(2),
+                             {bad: (np.array([0]), 1.0)}, 3)
+
+    def test_member_error_names_the_set(self):
+        offsets = np.array([0, 2, 3, 5, 6], dtype=np.int64)
+        nodes = np.array([0, 1, 2, 3, 4, 0], dtype=np.int32)
+        replacements = {0: (np.array([1, 2]), 1.0),
+                        3: (np.array([], dtype=np.int64), 0.0),
+                        2: (np.array([4, 7]), 1.0)}
+        with pytest.raises(IndexStoreError, match=r"replacement set 2 "):
+            replace_sets(offsets, nodes, np.ones(4), replacements, 5)
+        with pytest.raises(IndexStoreError, match=r"replacement set 0 "):
+            replace_sets(offsets, nodes, np.ones(4),
+                         {0: (np.array([-1]), 1.0)}, 5)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_set_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        num_sets = int(rng.integers(1, 40))
+        num_nodes = int(rng.integers(1, 60))
+        lengths = rng.integers(0, 6, size=num_sets)
+        offsets = np.zeros(num_sets + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        store = np.int64 if seed % 3 == 0 else np.int32
+        nodes = rng.integers(0, num_nodes, size=int(offsets[-1])) \
+            .astype(store)
+        weights = rng.random(num_sets)
+        # node growth on every other case: replacements may name new ids
+        grown = num_nodes + (int(rng.integers(1, 5)) if seed % 2 else 0)
+        # always the first and the last set, plus an adjacent run and a
+        # random scatter; some replacements are empty
+        ids = {0, num_sets - 1}
+        start = int(rng.integers(0, num_sets))
+        ids.update(range(start, min(num_sets, start + 3)))
+        ids.update(rng.integers(0, num_sets, size=num_sets // 4).tolist())
+        replacements = {}
+        for idx in rng.permutation(sorted(ids)).tolist():
+            size = int(rng.integers(0, 7))
+            replacements[idx] = (
+                np.sort(rng.choice(grown, size=min(size, grown),
+                                   replace=False)).astype(np.int64),
+                float(rng.random()))
+        got = replace_sets(offsets, nodes, weights, replacements, grown)
+        want = _replace_sets_loop(offsets, nodes, weights, replacements,
+                                  grown)
+        for left, right in zip(got, want):
+            assert left.dtype == right.dtype
+            np.testing.assert_array_equal(left, right)
+        assert got[1].dtype == np.promote_types(store, np.int32)
 
     def test_touched_set_ids_sees_zero_weight_sets(self, small_er_graph):
         index = rebuild(small_er_graph, sampler="marginal",

@@ -121,6 +121,91 @@ class TestRegistryOp:
         assert lenient.stats()["stale"] == []
 
 
+class TestResidentInstall:
+    """apply-delta keeps the repaired build resident: it serves exactly
+    what a reload from the manifest would, without one."""
+
+    def test_query_after_delta_needs_no_reload(self, hosted, monkeypatch):
+        directory, graph, _, _ = hosted
+        server = AllocationServer(IndexRegistry(directory=directory))
+        delta = random_edge_delta(graph, 0.01, seed=3)
+        response = serve(server, {"op": "apply-delta", "index": "dyn-idx",
+                                  "delta": delta.to_dict()})
+        assert response["ok"], response
+
+        def no_reload(*args, **kwargs):
+            raise AssertionError("load_service ran after apply-delta")
+
+        monkeypatch.setattr("repro.serve.registry.load_service", no_reload)
+        query = serve(server, {"op": "query", "index": "dyn-idx",
+                               "algorithm": "select", "k": 5})
+        assert query["ok"], query
+        assert len(query["allocation"]["seeds"]) == 5
+
+    def test_resident_build_equals_a_cold_load(self, hosted):
+        directory, _, _, _ = hosted
+        registry = IndexRegistry(directory=directory)
+        for seed in (11, 12, 13):
+            current = registry.get("dyn-idx").graph
+            registry.apply_delta(
+                "dyn-idx", random_edge_delta(current, 0.01, seed=seed))
+        resident = registry.get("dyn-idx")
+        cold = load_service(directory / "dyn-idx")
+        left, right = resident.service.index, cold.service.index
+        assert left.meta["dynamic"]["epoch"] == 3
+        arrays = [(left._packed(), right._packed()),
+                  (left._inverted(), right._inverted()),
+                  ((left.initial_gains(), left.roots),
+                   (right.initial_gains(), right.roots)),
+                  (resident.graph.edge_arrays(), cold.graph.edge_arrays())]
+        for mine, theirs in arrays:
+            for a, b in zip(mine, theirs):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        assert left.meta == right.meta
+        assert left.fingerprint == right.fingerprint
+        assert left.num_nodes == right.num_nodes
+        assert resident.graph.num_nodes == cold.graph.num_nodes
+        assert resident.fixed == cold.fixed
+        for k in (5, 10, 20, 50):
+            assert resident.service.query(algorithm="select", k=k) == \
+                cold.service.query(algorithm="select", k=k)
+
+    def test_fingerprint_mismatch_at_install(self, hosted, monkeypatch):
+        directory, graph, _, _ = hosted
+        registry = IndexRegistry(directory=directory)
+        server = AllocationServer(registry)
+        assert serve(server, {"op": "query", "index": "dyn-idx",
+                              "algorithm": "select", "k": 5})["ok"]
+        monkeypatch.setattr(
+            "repro.index.builder.expected_index_fingerprint",
+            lambda *args, **kwargs: "0" * 64)
+        delta = random_edge_delta(graph, 0.01, seed=3)
+        response = serve(server, {"op": "apply-delta", "index": "dyn-idx",
+                                  "delta": delta.to_dict()})
+        assert response["ok"] is False
+        assert "stale index" in response["error"]
+        assert registry.stats()["indexes"]["dyn-idx"]["loaded"] is False
+        # the next query takes the lazy path and is refused the same way
+        query = serve(server, {"op": "query", "index": "dyn-idx",
+                               "algorithm": "select", "k": 5})
+        assert query["ok"] is False
+        assert "stale index" in query["error"]
+
+    def test_install_goes_through_the_lru(self, tmp_path):
+        graph, _, _ = build_hosted_index(tmp_path, name="first")
+        build_hosted_index(tmp_path, name="second")
+        registry = IndexRegistry(directory=tmp_path, capacity=1)
+        registry.get("first")
+        registry.apply_delta("second",
+                             random_edge_delta(graph, 0.01, seed=3))
+        stats = registry.stats()
+        assert stats["loaded"] == ["second"]
+        assert stats["eviction_order"] == ["first"]
+        assert stats["indexes"]["second"]["loads"] == 2
+        assert stats["loads"] == 3
+
+
 class TestServerOp:
     def test_dispatch_apply_delta_hot_swaps(self, hosted):
         from repro.serve import AllocationServer
@@ -223,3 +308,22 @@ class TestCli:
         manifest = json.loads(
             (tmp_path / "dyn.manifest.json").read_text())
         assert manifest["meta"]["dynamic"]["epoch"] == 0
+
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_replay_exits_nonzero_on_errors(self, tmp_path, capsys, mode):
+        from repro import faults
+
+        build_hosted_index(tmp_path, name="dyn")
+        faults.configure("registry-load:1.0", seed=0)
+        try:
+            code = main(["replay", "--index", str(tmp_path / "dyn"),
+                         "--queries", "4", "--deltas", "1",
+                         "--fraction", "0.01", "--seed", "1", *mode])
+        finally:
+            faults.disarm()
+        out = capsys.readouterr().out
+        assert code == 1
+        if mode:
+            assert json.loads(out)["errors"] == 5
+        else:
+            assert "5 errors" in out

@@ -141,6 +141,32 @@ class TestServeMatchesRun:
         other = [s.fingerprint() for s in generate_specs(seed=100, count=8)]
         assert first != other
 
+    def test_superior_item_without_budget(self, instances, tmp_path):
+        """A SupGRD spec whose superior_item has no budget allocates the
+        budgeted item, served and direct alike."""
+        graphs, model = instances
+        spec = RunSpec(
+            algorithm="SupGRD",
+            workload=WorkloadSpec(
+                network=NETWORK, scale=SCALE, configuration=CONFIGURATION,
+                budgets={"i": 2}, superior_item="j"),
+            engine=EngineConfig(seed=3, samples=5, max_rr_sets=1500))
+        graph = graphs[3]
+        # the served route resolves the item narrow_single_item_budgets
+        # keeps, so it lands on the index sampled for "i"
+        routed = dataclasses.replace(
+            spec, workload=dataclasses.replace(spec.workload,
+                                               superior_item="i"))
+        response = serve_from_saved_index(
+            build_matching_index(graph, model, routed),
+            tmp_path / "sup-i", make_request(spec))
+        assert response["ok"] is True, response
+        record = run_spec(spec, graph=graph, model=model)
+        direct = {item: list(nodes) for item, nodes
+                  in record.result.allocation.as_dict().items()}
+        assert list(direct) == ["i"]
+        assert response["allocation"] == direct
+
     def test_fresh_service_reserves_identically(self, instances, tmp_path,
                                                 served_and_direct):
         graphs, model = instances
