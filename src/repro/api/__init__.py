@@ -31,9 +31,8 @@ The pieces:
 * :mod:`repro.api.cliargs` — argparse argument groups generated from the
   spec dataclass fields, shared by every CLI subcommand.
 
-The legacy surfaces remain as thin shims:
-:func:`repro.experiments.run_algorithm` builds a ``RunSpec`` internally,
-and direct algorithm calls (``seqgrd(...)`` etc.) are unchanged.
+Direct algorithm calls (``seqgrd(...)`` etc.) remain available for
+callers that hold a graph and model and want no spec at all.
 """
 
 from repro.api.specs import (

@@ -4,8 +4,8 @@ Algorithms register themselves with :func:`register_algorithm` next to
 their implementation (``repro/core/*.py``, ``repro/baselines/*.py``), which
 replaces the old ``if/elif`` dispatch chain in the experiment harness.  An
 entry carries capability flags — ``supports_index``,
-``supports_selection_strategy``, ``supports_workers``,
-``needs_candidate_pool`` — so unsupported spec/knob combinations are
+``supports_workers``, ``needs_candidate_pool`` — so unsupported
+spec/knob combinations are
 rejected uniformly at :meth:`repro.api.RunSpec.validate` time instead of
 deep inside one algorithm's keyword plumbing.
 
@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RunContext:
     """Everything a registered runner needs, fully resolved.
 
-    ``engine`` and ``selection_strategy`` are concrete values (never
-    ``None``), resolved once by :meth:`repro.api.EngineConfig.resolve`;
+    ``engine`` is a concrete value (never ``None``), resolved once by
+    :meth:`repro.api.EngineConfig.resolve`;
     ``budgets`` excludes any pre-fixed item; ``fixed_allocation`` is always
     an :class:`~repro.allocation.Allocation` (possibly empty).
     """
@@ -46,7 +46,6 @@ class RunContext:
     options: "IMMOptions"
     rng: Any
     engine: str
-    selection_strategy: str
     samples: int
     marginal_samples: int
     workers: Optional[int] = None
@@ -68,8 +67,6 @@ class AlgorithmEntry:
     order: int = 0
     #: can be served from a prebuilt :class:`FrozenRRIndex`
     supports_index: bool = False
-    #: has a greedy node-selection phase (``--selection-strategy``)
-    supports_selection_strategy: bool = False
     #: samples RR sets through the deterministic sharded builder
     supports_workers: bool = False
     #: draws seed candidates from a bounded pool (``pool_size``)
@@ -87,7 +84,6 @@ _POPULATED = False
 
 def register_algorithm(name: str, *, order: int,
                        supports_index: bool = False,
-                       supports_selection_strategy: bool = False,
                        supports_workers: bool = False,
                        needs_candidate_pool: bool = False,
                        single_item: bool = False,
@@ -100,7 +96,6 @@ def register_algorithm(name: str, *, order: int,
         _REGISTRY[name] = AlgorithmEntry(
             name=name, runner=runner, order=order,
             supports_index=supports_index,
-            supports_selection_strategy=supports_selection_strategy,
             supports_workers=supports_workers,
             needs_candidate_pool=needs_candidate_pool,
             single_item=single_item,

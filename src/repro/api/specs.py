@@ -7,12 +7,11 @@ values:
   name or edge-list path), its down-scale fraction, the utility
   configuration, the per-item budget vector, any fixed allocation and the
   superior item.
-* :class:`EngineConfig` — *how* to solve it: Monte-Carlo engine, greedy
-  selection strategy, worker count, sample counts, IMM accuracy parameters
-  and the master seed.  Environment-variable defaults (``REPRO_ENGINE``,
-  ``REPRO_SELECTION``) are resolved exactly once, in
-  :meth:`EngineConfig.resolve`, with the precedence *explicit argument >
-  environment variable > built-in default*.
+* :class:`EngineConfig` — *how* to solve it: Monte-Carlo engine, worker
+  count, sample counts, IMM accuracy parameters and the master seed.  The
+  one environment-variable default (``REPRO_ENGINE``) is resolved exactly
+  once, in :meth:`EngineConfig.resolve`, with the precedence *explicit
+  argument > environment variable > built-in default*.
 * :class:`RunSpec` — the pair plus the algorithm name; the unit the
   registry dispatches on, the CLI parses into, the serve protocol ships
   over the wire, and whose :meth:`RunSpec.fingerprint` keys result caches
@@ -32,11 +31,10 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.engine.config import resolve_engine
 from repro.exceptions import SpecError
-from repro.rrsets.coverage import SELECTION_STRATEGIES, resolve_strategy
 from repro.utility.configs import CONFIGURATIONS
 
 #: bump when the spec schema or fingerprint layout changes
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 
 def _cli(flag: str, help: str, **kwargs: Any) -> Dict[str, Any]:
@@ -247,21 +245,16 @@ class WorkloadSpec:
 class EngineConfig:
     """How a run executes: engines, sample counts, accuracy knobs, seed.
 
-    ``engine`` and ``selection_strategy`` default to ``None`` meaning
-    *resolve against the environment*; :meth:`resolve` performs that
-    resolution exactly once (explicit argument > ``REPRO_ENGINE`` /
-    ``REPRO_SELECTION`` > built-in default) so no other layer needs to
-    consult the environment.
+    ``engine`` defaults to ``None`` meaning *resolve against the
+    environment*; :meth:`resolve` performs that resolution exactly once
+    (explicit argument > ``REPRO_ENGINE`` > built-in default) so no other
+    layer needs to consult the environment.
     """
 
     engine: Optional[str] = field(default=None, metadata=_cli(
         "--engine", "Monte-Carlo engine: the scalar reference ('python') "
                     "or the batched vectorized engine (the default)",
         choices=("python", "vectorized")))
-    selection_strategy: Optional[str] = field(default=None, metadata=_cli(
-        "--selection-strategy",
-        "greedy node-selection strategy (bit-identical allocations "
-        "across strategies)", choices=SELECTION_STRATEGIES))
     workers: Optional[int] = field(default=None, metadata=_cli(
         "--workers", "sample RR sets with this many worker processes "
                      "(results are identical for any worker count at a "
@@ -301,19 +294,18 @@ class EngineConfig:
 
     # ------------------------------------------------------------------
     def resolve(self) -> "EngineConfig":
-        """Resolve the environment-variable defaults, once.
+        """Resolve the environment-variable default, once.
 
-        Precedence for both ``engine`` and ``selection_strategy``:
-        explicit value > environment variable > built-in default.  The
-        returned config has both fields concretized, so downstream layers
-        receive explicit values and never consult the environment.
+        Precedence for ``engine``: explicit value > environment variable >
+        built-in default.  The returned config has it concretized, so
+        downstream layers receive an explicit value and never consult the
+        environment.
         """
         try:
             engine = resolve_engine(self.engine)
-            strategy = resolve_strategy(self.selection_strategy)
         except ValueError as error:
             raise SpecError(str(error)) from None
-        return replace(self, engine=engine, selection_strategy=strategy)
+        return replace(self, engine=engine)
 
     def validate(self) -> None:
         self.resolve()
@@ -341,12 +333,10 @@ class EngineConfig:
                           max_rr_sets=self.max_rr_sets)
 
     @classmethod
-    def from_scale(cls, scale, selection_strategy: Optional[str] = None,
-                   seed: Optional[int] = None) -> "EngineConfig":
+    def from_scale(cls, scale, seed: Optional[int] = None) -> "EngineConfig":
         """Engine config matching an :class:`ExperimentScale` preset, so a
         spec-driven run reproduces a harness run bit for bit."""
         return cls(
-            selection_strategy=selection_strategy,
             samples=scale.evaluation_samples,
             marginal_samples=scale.marginal_samples,
             max_rr_sets=scale.imm_options.max_rr_sets,
@@ -384,22 +374,15 @@ class RunSpec:
         ``items`` supplies the configuration's item catalog when the
         utility model is provided programmatically; ``catalog=False``
         skips the catalog-name check for free-form configuration labels.
-        Unsupported knob/algorithm combinations (a selection strategy on
-        an algorithm without a greedy selection phase, workers on an
-        algorithm without sharded sampling) fail here, uniformly, before
-        any sampling starts.
+        Unsupported knob/algorithm combinations (workers on an algorithm
+        without sharded sampling) fail here, uniformly, before any
+        sampling starts.
         """
         from repro.api.registry import get_algorithm
 
         entry = get_algorithm(self.algorithm)
         self.engine.validate()
         self.workload.validate(items=items, catalog=catalog)
-        if (self.engine.selection_strategy is not None
-                and not entry.supports_selection_strategy):
-            raise SpecError(
-                f"{self.algorithm} has no greedy node-selection phase; "
-                f"selection_strategy is not supported (supported by: "
-                f"{_names_with('supports_selection_strategy')})")
         if self.engine.workers is not None and not entry.supports_workers:
             raise SpecError(
                 f"{self.algorithm} does not sample RR sets through the "

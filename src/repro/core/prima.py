@@ -42,12 +42,18 @@ from repro.utils.rng import RngLike, derive_seed, ensure_rng
 
 @dataclass
 class PrimaResult:
-    """Ordered seeds returned by PRIMA+ together with diagnostics."""
+    """Ordered seeds returned by PRIMA+ together with diagnostics.
+
+    ``cap_hit`` is true when sampling stopped at ``max_rr_sets``: a round
+    or the final θ asked for more sets, or a lower-bound search ran into
+    the cap.  The approximation guarantee then does not hold.
+    """
 
     seeds: List[int]
     prefix_marginal_spreads: List[float]
     num_rr_sets: int
     lower_bounds: Dict[int, float] = field(default_factory=dict)
+    cap_hit: bool = False
     collection: Optional[RRCollection] = field(default=None, repr=False,
                                                compare=False)
 
@@ -69,7 +75,6 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
                rng: RngLike = None,
                workers: Optional[int] = None,
                keep_collection: bool = False,
-               selection_strategy: Optional[str] = None,
                engine: Optional[str] = None) -> PrimaResult:
     """Select ``num_seeds`` ordered seeds maximizing marginal spread.
 
@@ -94,11 +99,6 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     keep_collection:
         Return the final RR collection on ``PrimaResult.collection`` so it
         can be frozen into a persistent index.
-    selection_strategy:
-        Greedy-selection strategy
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); every
-        strategy returns bit-identical ordered seeds, preserving the
-        prefix guarantees.
     engine:
         ``"vectorized"`` draws each round's missing serial sets in one
         batched :func:`~repro.engine.reverse.marginal_rr_sets_packed`
@@ -134,9 +134,14 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     # the context manager releases the (registry-warm) worker pool even
     # when the sampling phase raises
     vectorized = resolve_engine(engine) == ENGINE_VECTORIZED
+    cap_hit = False
     with sampler_context as parallel_sampler:
         def sample_into(collection: RRCollection, target: float) -> None:
-            target = int(min(math.ceil(target), options.max_rr_sets))
+            nonlocal cap_hit
+            requested = int(math.ceil(target))
+            if requested > options.max_rr_sets:
+                cap_hit = True
+            target = min(requested, options.max_rr_sets)
             missing = target - collection.num_sets
             if missing <= 0:
                 return
@@ -167,13 +172,13 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
             for i in range(1, max_rounds + 1):
                 x = n / (2.0 ** i)
                 sample_into(collection, lam_prime / x)
-                selection = node_selection(collection, k,
-                                           strategy=selection_strategy)
+                selection = node_selection(collection, k)
                 estimate = n * selection.covered_weight / max(collection.num_sets, 1)
                 if estimate >= (1.0 + epsilon_prime) * x:
                     lower_bound = estimate / (1.0 + epsilon_prime)
                     break
                 if collection.num_sets >= options.max_rr_sets:
+                    cap_hit = True
                     lower_bound = max(lower_bound, estimate)
                     break
             lower_bounds[k] = lower_bound
@@ -187,14 +192,14 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
         final_collection = RRCollection(n) if options.fresh_final_sampling \
             else collection
         sample_into(final_collection, required_theta)
-    selection = node_selection(final_collection, num_seeds,
-                               strategy=selection_strategy)
+    selection = node_selection(final_collection, num_seeds)
     scale = n / max(final_collection.num_sets, 1)
     return PrimaResult(
         seeds=selection.seeds,
         prefix_marginal_spreads=[w * scale for w in selection.prefix_weights],
         num_rr_sets=final_collection.num_sets,
         lower_bounds=lower_bounds,
+        cap_hit=cap_hit,
         collection=final_collection if keep_collection else None,
     )
 

@@ -48,8 +48,7 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
            engine: Optional[str] = None,
            workers: Optional[int] = None,
            index: Optional["FrozenRRIndex"] = None,
-           keep_rr_collection: bool = False,
-           selection_strategy: Optional[str] = None) -> AllocationResult:
+           keep_rr_collection: bool = False) -> AllocationResult:
     """Run SeqGRD (or SeqGRD-NM when ``marginal_check=False``).
 
     Parameters
@@ -86,10 +85,6 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         Record PRIMA+'s final RR collection in
         ``result.details["rr_collection"]`` so it can be frozen into a
         persistent index.
-    selection_strategy:
-        Greedy-selection strategy
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); bit-identical
-        allocations for every strategy.
     """
     rng = ensure_rng(rng)
     options = options or IMMOptions()
@@ -103,14 +98,12 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
     total_budget = sum(budgets[item] for item in items)
 
     if index is not None:
-        prima = _pool_from_index(graph, index, total_budget,
-                                 selection_strategy)
+        prima = _pool_from_index(graph, index, total_budget)
     else:
         prima = prima_plus(graph, fixed_seeds, [budgets[i] for i in items],
                            total_budget, options=options, rng=rng,
                            workers=workers,
                            keep_collection=keep_rr_collection,
-                           selection_strategy=selection_strategy,
                            engine=engine)
     available: List[int] = list(prima.seeds)
 
@@ -168,6 +161,7 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         "appended_items": skipped,
         "marginal_estimates": marginals,
         "num_rr_sets": prima.num_rr_sets,
+        "cap_hit": prima.cap_hit,
         "prima_prefix_spreads": prima.prefix_marginal_spreads,
         "pool_marginal_spread": (prima.prefix_marginal_spreads[-1]
                                  if prima.prefix_marginal_spreads else 0.0),
@@ -196,26 +190,24 @@ def seqgrd_nm(graph: DirectedGraph, model: UtilityModel,
               engine: Optional[str] = None,
               workers: Optional[int] = None,
               index: Optional["FrozenRRIndex"] = None,
-              keep_rr_collection: bool = False,
-              selection_strategy: Optional[str] = None) -> AllocationResult:
+              keep_rr_collection: bool = False) -> AllocationResult:
     """SeqGRD-NM: SeqGRD without the Monte-Carlo marginal check."""
     return seqgrd(graph, model, budgets, fixed_allocation,
                   marginal_check=False, options=options,
                   evaluate_welfare=evaluate_welfare,
                   n_evaluation_samples=n_evaluation_samples, rng=rng,
                   engine=engine, workers=workers, index=index,
-                  keep_rr_collection=keep_rr_collection,
-                  selection_strategy=selection_strategy)
+                  keep_rr_collection=keep_rr_collection)
 
 
-def _pool_from_index(graph: DirectedGraph, index, num_seeds: int,
-                     selection_strategy: Optional[str] = None
-                     ) -> PrimaResult:
+def _pool_from_index(graph: DirectedGraph, index,
+                     num_seeds: int) -> PrimaResult:
     """Recover PRIMA+'s ordered seed pool from a frozen marginal index.
 
     The greedy order over the frozen collection is bit-identical to the
     order PRIMA+ computed when the index was built, so its prefixes keep
-    serving every budget in the build's budget vector.
+    serving every budget in the build's budget vector.  ``cap_hit`` is the
+    one the build recorded in the manifest.
     """
     if index.num_nodes != graph.num_nodes:
         raise AlgorithmError(
@@ -226,14 +218,14 @@ def _pool_from_index(graph: DirectedGraph, index, num_seeds: int,
         raise AlgorithmError(
             f"SeqGRD needs a marginal (or standard) RR-set index, "
             f"got {kind!r}")
-    selection = node_selection(index, num_seeds,
-                               strategy=selection_strategy)
+    selection = node_selection(index, num_seeds)
     scale = graph.num_nodes / max(index.num_sets, 1)
     return PrimaResult(
         seeds=selection.seeds,
         prefix_marginal_spreads=[w * scale
                                  for w in selection.prefix_weights],
         num_rr_sets=index.num_sets,
+        cap_hit=bool(index.meta.get("cap_hit", False)),
     )
 
 
@@ -251,23 +243,21 @@ from repro.api.registry import RunContext, register_algorithm  # noqa: E402
 
 
 @register_algorithm("SeqGRD", order=0, supports_index=True,
-                    supports_selection_strategy=True, supports_workers=True)
+                    supports_workers=True)
 def _run_seqgrd(ctx: RunContext):
     return seqgrd(ctx.graph, ctx.model, ctx.budgets, ctx.fixed_allocation,
                   marginal_check=True,
                   n_marginal_samples=ctx.marginal_samples,
                   options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                  workers=ctx.workers, index=ctx.index,
-                  selection_strategy=ctx.selection_strategy)
+                  workers=ctx.workers, index=ctx.index)
 
 
 @register_algorithm("SeqGRD-NM", order=1, supports_index=True,
-                    supports_selection_strategy=True, supports_workers=True)
+                    supports_workers=True)
 def _run_seqgrd_nm(ctx: RunContext):
     return seqgrd_nm(ctx.graph, ctx.model, ctx.budgets, ctx.fixed_allocation,
                      options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                     workers=ctx.workers, index=ctx.index,
-                     selection_strategy=ctx.selection_strategy)
+                     workers=ctx.workers, index=ctx.index)
 
 
 __all__ = ["seqgrd", "seqgrd_nm"]

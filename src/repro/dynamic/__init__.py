@@ -17,8 +17,8 @@ produce — and a zero-op delta is fingerprint-identical to the original.
 * :class:`RRRepairEngine` / :func:`build_repairable_index` — build and
   incrementally repair keyed indexes; manifests carry a
   ``dynamic.staleness`` block and the full delta history;
-* :class:`OnlineAllocator` — warm-started greedy re-allocation (CELF
-  heap seeded from maintained initial gains; exact);
+* :class:`OnlineAllocator` — warm-started greedy re-allocation (the
+  greedy starts from maintained initial gains; exact);
 * :mod:`repro.dynamic.replay` — seeded query/delta traces and the
   driver behind ``repro replay`` and ``benchmarks/bench_replay.py``.
 

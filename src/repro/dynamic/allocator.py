@@ -11,7 +11,7 @@ over the repaired index):
   touched, nothing re-rooted), the previous
   :class:`~repro.rrsets.coverage.SelectionResult` is still the answer
   and is returned without re-running the greedy.
-* **Incremental initial gains** — the CELF lazy heap is seeded from the
+* **Incremental initial gains** — the greedy loop starts from the
   per-node initial gains, whose one-pass bincount over all members is
   the dominant cost of a warm selection.  For unit-weight indexes
   (every set weighing 1.0 — the standard/IMM case) the allocator
@@ -41,16 +41,12 @@ def _unit_weights(weights: np.ndarray) -> bool:
 class OnlineAllocator:
     """Rolling (repair → re-allocate) loop over one repairable index.
 
-    Parameters mirror :class:`RRRepairEngine`; ``selection_strategy``
-    is forwarded to :func:`node_selection` (all strategies are
-    bit-identical, so warm equals cold under any of them).
+    Parameters mirror :class:`RRRepairEngine`.
     """
 
     def __init__(self, index: FrozenRRIndex, graph: DirectedGraph,
-                 model: Any = None, *,
-                 selection_strategy: Optional[str] = None) -> None:
+                 model: Any = None) -> None:
         self._engine = RRRepairEngine(index, graph, model)
-        self._strategy = selection_strategy
         self._gains0: Optional[np.ndarray] = None
         self._selection: Optional[SelectionResult] = None
         self._selection_k: Optional[int] = None
@@ -82,10 +78,10 @@ class OnlineAllocator:
         index = self._engine.index
         if self._gains0 is not None:
             # hand the maintained gains to the index's lazy cache: the
-            # greedy seeds its CELF heap from initial_gains()
+            # greedy starts from a copy of initial_gains()
             index._gains0 = self._gains0
             self.stats["gains_carried"] += 1
-        result = node_selection(index, k, strategy=self._strategy)
+        result = node_selection(index, k)
         self._gains0 = index._gains0  # computed (or reused) by the greedy
         self._selection, self._selection_k = result, k
         self.stats["allocations"] += 1

@@ -9,7 +9,7 @@ from repro.experiments.config import (
     get_scale,
 )
 from repro.experiments.networks import benchmark_network, table2_statistics
-from repro.experiments.runners import ALGORITHMS, RunRecord, run_algorithm
+from repro.experiments.runners import ALGORITHMS, RunRecord
 from repro.experiments import figures, tables
 from repro.experiments.figures import (
     figure3,
@@ -34,7 +34,6 @@ __all__ = [
     "table2_statistics",
     "ALGORITHMS",
     "RunRecord",
-    "run_algorithm",
     "figures",
     "tables",
     "figure3",

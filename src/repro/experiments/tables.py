@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.figures import _measure
 from repro.experiments.networks import benchmark_network, table2_statistics
-from repro.experiments.runners import run_algorithm
 from repro.utility.configs import (
     LASTFM_PROBABILITIES,
     LASTFM_UTILITIES,
@@ -85,9 +85,9 @@ def table6(scale=None,
                 budget_map = {name: budget for name in model.items}
                 records = {}
                 for algorithm in algorithms:
-                    records[algorithm] = run_algorithm(
-                        algorithm, graph, model, budgets=budget_map,
-                        scale=scale, configuration=config_name,
+                    records[algorithm] = _measure(
+                        algorithm, graph, model, scale,
+                        configuration=config_name, budgets=budget_map,
                         rng=scale.seed + budget)
                 reference = records.get("Round-robin")
                 for algorithm, record in records.items():

@@ -332,7 +332,6 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                 seed: int = 2020,
                 workers: Optional[int] = None,
                 engine: Optional[str] = None,
-                selection_strategy: Optional[str] = None,
                 meta_extra: Optional[Dict[str, Any]] = None
                 ) -> FrozenRRIndex:
     """Build a persistent RR-set index for one CWelMax instance.
@@ -393,8 +392,7 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                 "building a standard index needs a positive budget k")
         extra["k"] = int(k)
         result = imm(graph, k, options=options, rng=seed, engine=engine_name,
-                     workers=workers, keep_collection=True,
-                     selection_strategy=selection_strategy)
+                     workers=workers, keep_collection=True)
         collection = result.collection
         meta.update(k=int(k), algorithm="IMM", seeds=list(result.seeds),
                     estimated_value=result.estimated_value,
@@ -412,11 +410,11 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                 "building a marginal index needs per-item budgets")
         run = seqgrd_nm(graph, model, budgets, fixed_allocation,
                         options=options, rng=seed, engine=engine_name,
-                        workers=workers, keep_rr_collection=True,
-                        selection_strategy=selection_strategy)
+                        workers=workers, keep_rr_collection=True)
         collection = run.details.get("rr_collection")
         meta.update(algorithm="SeqGRD-NM",
-                    num_prima_rr_sets=run.details.get("num_rr_sets"))
+                    num_prima_rr_sets=run.details.get("num_rr_sets"),
+                    cap_hit=run.details["cap_hit"])
     else:  # weighted
         from repro.core.supgrd import supgrd
 
@@ -442,8 +440,7 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                      superior_item=superior_item,
                      enforce_preconditions=False, options=options,
                      rng=seed, engine=engine_name, workers=workers,
-                     keep_rr_collection=True,
-                     selection_strategy=selection_strategy)
+                     keep_rr_collection=True)
         collection = run.details.get("rr_collection")
         meta.update(algorithm="SupGRD", k=int(budget),
                     superior_item=superior_item,
@@ -478,7 +475,6 @@ def build_streaming_index(graph: DirectedGraph,
                           seed: int = 2020,
                           workers: int = 1,
                           engine: Optional[str] = None,
-                          selection_strategy: Optional[str] = None,
                           chunk_sets: Optional[int] = None,
                           chunk_members: Optional[int] = None,
                           meta_extra: Optional[Dict[str, Any]] = None
@@ -589,7 +585,6 @@ def build_streaming_index(graph: DirectedGraph,
                 graph.num_nodes, k, sampler,
                 max_value=float(graph.num_nodes), options=options, rng=rng,
                 parallel_sampler=parallel_sampler,
-                selection_strategy=selection_strategy,
                 final_sink=writer, final_chunk_sets=chunk)
             cap_hit = result.cap_hit
             lower_bound = result.lower_bound
@@ -598,7 +593,7 @@ def build_streaming_index(graph: DirectedGraph,
     index = FrozenRRIndex.load(npz_path, mmap=True)
     from repro.rrsets.coverage import node_selection
 
-    selection = node_selection(index, k, strategy=selection_strategy)
+    selection = node_selection(index, k)
     scale = graph.num_nodes / max(index.num_sets, 1)
     meta.update(seeds=list(selection.seeds),
                 estimated_value=selection.covered_weight * scale,

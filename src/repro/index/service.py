@@ -60,19 +60,13 @@ class AllocationService:
         The fixed allocation ``S_P`` the index was built against.
     cache_size:
         Maximum number of distinct query results kept in the LRU cache.
-    selection_strategy:
-        Greedy-selection strategy used to answer queries
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); every
-        strategy serves bit-identical allocations, so this only trades
-        query latency.
     """
 
     def __init__(self, index: FrozenRRIndex,
                  graph: Optional[DirectedGraph] = None,
                  model: Optional[UtilityModel] = None,
                  fixed_allocation: Optional[Allocation] = None,
-                 cache_size: int = 128,
-                 selection_strategy: Optional[str] = None) -> None:
+                 cache_size: int = 128) -> None:
         if graph is not None and graph.num_nodes != index.num_nodes:
             raise AlgorithmError(
                 f"index covers {index.num_nodes} nodes but the graph has "
@@ -83,7 +77,6 @@ class AllocationService:
         self._fixed = fixed_allocation or Allocation.empty()
         self._cache: "OrderedDict[QueryKey, Dict[str, Any]]" = OrderedDict()
         self._cache_size = max(0, int(cache_size))
-        self._selection_strategy = selection_strategy
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -136,8 +129,7 @@ class AllocationService:
         recomputes when a query asks for more seeds than any before it.
         """
         if self._selection is None or len(self._selection.seeds) < k:
-            self._selection = node_selection(
-                self._index, k, strategy=self._selection_strategy)
+            self._selection = node_selection(self._index, k)
         prefix = self._selection.prefix(k)
         weights = self._selection.prefix_weights[:len(prefix)]
         covered = weights[-1] if weights else 0.0
@@ -226,8 +218,7 @@ class AllocationService:
             ((item, budget),) = budgets.items()
             result = supgrd(self._graph, self._model, budget, self._fixed,
                             superior_item=item, enforce_preconditions=False,
-                            index=index, rng=0,
-                            selection_strategy=self._selection_strategy)
+                            index=index, rng=0)
             allocation = {name: list(nodes) for name, nodes
                           in result.allocation.as_dict().items()}
             value = result.details.get("estimated_marginal_welfare", 0.0)
@@ -237,8 +228,7 @@ class AllocationService:
 
             self._require_instance(algorithm)
             result = seqgrd_nm(self._graph, self._model, budgets,
-                               self._fixed, index=index, rng=0,
-                               selection_strategy=self._selection_strategy)
+                               self._fixed, index=index, rng=0)
             allocation = {name: list(nodes) for name, nodes
                           in result.allocation.as_dict().items()}
             value = result.details.get("pool_marginal_spread", 0.0)

@@ -15,29 +15,20 @@ array-native:
   path all share one representation and one accessor protocol
   (:class:`PackedCoverage`).
 * :func:`node_selection` (Algorithm 5 in the paper) runs over that packed
-  representation with three interchangeable strategies that return
-  bit-identical :class:`SelectionResult` s (see
-  :data:`SELECTION_STRATEGIES`).
+  representation: one eager greedy loop with exact gains.
 
-Selection strategies
---------------------
-``"lazy"`` (default)
-    CELF-style lazy greedy: a max-heap of upper-bounded gains, revalidated
-    exactly against the incrementally maintained gains array; committing a
-    pick updates gains with one ``np.subtract.at`` over the concatenated
-    members of the newly covered sets.  Heap order ``(-gain, node)``
-    reproduces the eager tie-breaking (lowest node id on equal gains).
-``"eager"``
-    The classic exact-update greedy, vectorized: ``argmax`` per pick, the
-    same ``np.subtract.at`` commit.
-``"reference"``
-    The retained pure-Python oracle (the pre-packed-store loop) used by the
-    equivalence tests and the selection benchmark baseline.
-
-All three strategies perform the identical sequence of IEEE-754 operations
-on gains and totals (same addition/subtraction order), so their seeds,
-``prefix_weights`` and ``covered_weight`` agree bit for bit — the property
-the persistent-index layer relies on.
+The greedy loop
+---------------
+Gains are maintained exactly, so each pick is one vectorized ``argmax``
+over the working gains array (the lowest node id wins ties).  A picked
+node is excluded by writing ``-inf`` into that working copy, and
+committing a pick updates gains with one ``np.subtract.at`` over the
+concatenated members of the newly covered sets.  Lazy (CELF) evaluation
+would only pay off if each gain were an expensive oracle call.  Gains and
+totals go through the same sequence of IEEE-754 operations as the
+pure-Python reference loop the tests keep as an oracle (same
+addition/subtraction order), so seeds, ``prefix_weights`` and
+``covered_weight`` agree with it bit for bit.
 
 Saturation (the stop-or-pad rule)
 ---------------------------------
@@ -56,7 +47,6 @@ selection at the first zero-gain pick instead.  Either way
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -66,7 +56,7 @@ import numpy as np
 from repro.exceptions import AlgorithmError
 
 
-def _observe_selection(strategy: str, phase: str, seconds: float) -> None:
+def _observe_selection(phase: str, seconds: float) -> None:
     """Fold one selection-phase timing into the global metrics registry.
 
     Imported lazily so this low-level module never drags the obs stack in
@@ -78,44 +68,15 @@ def _observe_selection(strategy: str, phase: str, seconds: float) -> None:
     if metrics.enabled:
         metrics.histogram(
             "repro_selection_seconds",
-            "Greedy node-selection time, by strategy and phase",
-            strategy=strategy, phase=phase).observe(seconds)
+            "Greedy node-selection time, by phase",
+            phase=phase).observe(seconds)
 
-#: CELF-style lazy greedy (the default)
-STRATEGY_LAZY = "lazy"
-#: vectorized exact-update greedy
-STRATEGY_EAGER = "eager"
-#: retained pure-Python oracle
-STRATEGY_REFERENCE = "reference"
-SELECTION_STRATEGIES = (STRATEGY_LAZY, STRATEGY_EAGER, STRATEGY_REFERENCE)
-
-#: environment variable overriding the default selection strategy (housed
-#: with the other env-var knobs in :mod:`repro.engine.config`)
-from repro.engine.config import SELECTION_ENV_VAR, env_choice  # noqa: E402
 
 #: keep padding zero-gain seeds until ``k`` are selected (the default)
 SATURATION_PAD = "pad"
 #: truncate the selection at the first zero-gain pick
 SATURATION_STOP = "stop"
 _SATURATION_MODES = (SATURATION_PAD, SATURATION_STOP)
-
-
-def default_strategy() -> str:
-    """The strategy used when callers pass ``strategy=None``."""
-    return env_choice(SELECTION_ENV_VAR, SELECTION_STRATEGIES, STRATEGY_LAZY,
-                      what="selection strategy")
-
-
-def resolve_strategy(strategy: Optional[str] = None) -> str:
-    """Normalize a ``strategy=`` argument to one of the known strategies."""
-    if strategy is None:
-        return default_strategy()
-    value = str(strategy).strip().lower()
-    if value not in SELECTION_STRATEGIES:
-        raise ValueError(
-            f"unknown selection strategy {strategy!r}; "
-            f"expected one of {list(SELECTION_STRATEGIES)}")
-    return value
 
 
 def min_id_dtype(num_nodes: int) -> np.dtype:
@@ -723,12 +684,13 @@ class SelectionResult:
         return self.seeds[:k]
 
 
-def node_selection(collection, k: int, strategy: Optional[str] = None,
+def node_selection(collection, k: int,
                    on_saturation: str = SATURATION_PAD) -> SelectionResult:
     """Greedy weighted maximum coverage (Algorithm 5, ``NodeSelection``).
 
     Selects ``k`` nodes one at a time, each maximizing the additional
-    weight of newly covered RR sets, with exact gains throughout.
+    weight of newly covered RR sets, with exact gains throughout (the
+    loop is described in the module docstring).
 
     Parameters
     ----------
@@ -737,15 +699,6 @@ def node_selection(collection, k: int, strategy: Optional[str] = None,
         :class:`~repro.index.frozen.FrozenRRIndex` — any
         :class:`PackedCoverage` — so selections over a frozen index are
         bit-identical to selections over the collection it was built from.
-        Objects implementing only the plain accessor methods
-        (``num_nodes``, ``num_sets``, ``weights()``, ``initial_gains()``,
-        ``sets_covered_by``, ``set_members``) are served by the reference
-        loop regardless of ``strategy``.
-    strategy:
-        One of :data:`SELECTION_STRATEGIES`; ``None`` resolves to the
-        ``REPRO_SELECTION`` environment variable, defaulting to
-        ``"lazy"``.  All strategies return bit-identical results — the
-        knob trades constant factors only.
     on_saturation:
         The stop-or-pad rule (see the module docstring): ``"pad"`` (the
         default, preserving PRIMA+'s always-``k``-seeds prefix semantics)
@@ -757,173 +710,64 @@ def node_selection(collection, k: int, strategy: Optional[str] = None,
         raise AlgorithmError(
             f"unknown on_saturation mode {on_saturation!r}; "
             f"expected one of {list(_SATURATION_MODES)}")
-    strategy = resolve_strategy(strategy)
     k = min(int(k), collection.num_nodes)
     started = time.perf_counter()
-    if strategy == STRATEGY_REFERENCE or not hasattr(collection, "_packed"):
-        result = _select_reference(collection, k, on_saturation)
-        _observe_selection(STRATEGY_REFERENCE, "total",
-                           time.perf_counter() - started)
-        return result
-    result = _select_packed(collection, k, on_saturation,
-                            lazy=strategy == STRATEGY_LAZY)
-    _observe_selection(strategy, "total", time.perf_counter() - started)
-    return result
-
-
-def _select_reference(collection, k: int,
-                      on_saturation: str) -> SelectionResult:
-    """The retained pure-Python greedy oracle (pre-packed-store loop)."""
-    n = collection.num_nodes
+    offsets, members, weights = collection._packed()
+    inv_offsets, inv_sets = collection._inverted()
+    # a fresh copy: the loop excludes picked nodes by writing -inf into
+    # it, never into the collection's cached initial gains
     gains = collection.initial_gains()
-    weights = collection.weights()
+    loop_started = time.perf_counter()
+    _observe_selection("gains_init", loop_started - started)
     covered = np.zeros(collection.num_sets, dtype=bool)
     selected: List[int] = []
     prefix_weights: List[float] = []
     total = 0.0
     saturated_at: Optional[int] = None
-    chosen = np.zeros(n, dtype=bool)
-    for _ in range(k):
-        candidate = int(np.argmax(np.where(chosen, -np.inf, gains)))
-        if chosen[candidate]:
-            break
-        chosen[candidate] = True
-        covered_new = 0
-        for set_index in collection.sets_covered_by(candidate):
-            if covered[set_index]:
-                continue
-            covered[set_index] = True
-            covered_new += 1
-            weight = weights[set_index]
-            total += weight
-            for node in collection.set_members(set_index):
-                gains[int(node)] -= weight
-        if covered_new == 0 and saturated_at is None:
+    while len(selected) < k:
+        candidate = int(np.argmax(gains))
+        gains[candidate] = -np.inf
+        postings = inv_sets[inv_offsets[candidate]:inv_offsets[candidate + 1]]
+        new = postings[~covered[postings]]
+        if len(new) > 1:
+            # a duplicated member would duplicate its posting; postings are
+            # ascending, so dropping adjacent repeats counts each newly
+            # covered set exactly once
+            keep = np.ones(len(new), dtype=bool)
+            np.not_equal(new[1:], new[:-1], out=keep[1:])
+            new = new[keep]
+        if len(new):
+            covered[new] = True
+            starts = offsets[new]
+            lengths = offsets[new + 1] - starts
+            width = int(lengths.sum())
+            # gather the concatenated members of the newly covered sets:
+            # for each set a contiguous member range, expanded CSR-style
+            positions = np.arange(width, dtype=np.int64) \
+                + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            np.subtract.at(gains, members[positions],
+                           np.repeat(weights[new], lengths))
+            # per-set sequential accumulation (np.sum's pairwise reduction
+            # would round differently from the reference loop)
+            for weight in weights[new]:
+                total += weight
+        elif saturated_at is None:
             saturated_at = len(selected)
             if on_saturation == SATURATION_STOP:
                 break
         selected.append(candidate)
         prefix_weights.append(total)
-    return SelectionResult(seeds=selected, covered_weight=total,
-                           prefix_weights=prefix_weights,
-                           saturated_at=saturated_at)
-
-
-def _select_packed(collection, k: int, on_saturation: str,
-                   lazy: bool) -> SelectionResult:
-    """Vectorized greedy over the packed CSR buffers (eager or lazy).
-
-    Both variants maintain the gains array with the identical sequence of
-    IEEE-754 operations as the reference loop (``np.bincount`` /
-    ``np.subtract.at`` / per-set total accumulation are all sequential in
-    the same set-major order), so seeds, totals and prefix weights agree
-    bit for bit across all three strategies.
-    """
-    strategy = STRATEGY_LAZY if lazy else STRATEGY_EAGER
-    setup_started = time.perf_counter()
-    n = collection.num_nodes
-    offsets, members, weights = collection._packed()
-    inv_offsets, inv_sets = collection._inverted()
-    gains = collection.initial_gains()
-    _observe_selection(strategy, "gains_init",
-                       time.perf_counter() - setup_started)
-    loop_started = time.perf_counter()
-    covered = np.zeros(collection.num_sets, dtype=bool)
-    selected: List[int] = []
-    prefix_weights: List[float] = []
-    total = 0.0
-    saturated_at: Optional[int] = None
-
-    def commit(candidate: int) -> int:
-        """Cover the candidate's uncovered sets and update gains/total.
-
-        Returns the number of newly covered sets (0 signals saturation).
-        """
-        nonlocal total
-        postings = inv_sets[inv_offsets[candidate]:inv_offsets[candidate + 1]]
-        new = postings[~covered[postings]]
-        if not len(new):
-            return 0
-        if len(new) > 1:
-            # a duplicated member would duplicate its posting; postings are
-            # ascending, so dropping adjacent repeats reproduces the
-            # reference loop's skip-already-covered behaviour exactly
-            keep = np.ones(len(new), dtype=bool)
-            np.not_equal(new[1:], new[:-1], out=keep[1:])
-            new = new[keep]
-        covered[new] = True
-        starts = offsets[new]
-        lengths = offsets[new + 1] - starts
-        width = int(lengths.sum())
-        # gather the concatenated members of the newly covered sets: for
-        # each set a contiguous member range, expanded CSR-style
-        positions = np.arange(width, dtype=np.int64) \
-            + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        np.subtract.at(gains, members[positions],
-                       np.repeat(weights[new], lengths))
-        # per-set sequential accumulation (np.sum's pairwise reduction
-        # would round differently from the reference oracle)
-        for weight in weights[new]:
-            total += weight
-        return len(new)
-
-    if lazy:
-        # CELF lazy greedy: heap keys are upper bounds (gains only ever
-        # shrink); a popped candidate whose key still equals its exact
-        # maintained gain is the argmax — including the lowest-node-id
-        # tie-break, because stale keys re-enter at their exact value and
-        # the heap orders (-gain, node) lexicographically.  Keys live as
-        # Python floats (bitwise the same doubles, far cheaper to compare
-        # than boxed np.float64 scalars).
-        heap = [(-gain, node) for node, gain in enumerate(gains.tolist())]
-        heapq.heapify(heap)
-        while len(selected) < k and heap:
-            negative_gain, candidate = heapq.heappop(heap)
-            current = gains.item(candidate)
-            if -negative_gain != current:
-                # stale upper bound; but if the exact value still STRICTLY
-                # dominates every remaining upper bound the candidate is
-                # the unique argmax (no tie-break in play) — select it
-                # without bouncing through the heap
-                if heap and -current >= heap[0][0]:
-                    heapq.heappush(heap, (-current, candidate))
-                    continue
-            if commit(candidate) == 0 and saturated_at is None:
-                saturated_at = len(selected)
-                if on_saturation == SATURATION_STOP:
-                    break
-            selected.append(candidate)
-            prefix_weights.append(total)
-    else:
-        chosen = np.zeros(n, dtype=bool)
-        while len(selected) < k:
-            candidate = int(np.argmax(np.where(chosen, -np.inf, gains)))
-            if chosen[candidate]:
-                break
-            chosen[candidate] = True
-            if commit(candidate) == 0 and saturated_at is None:
-                saturated_at = len(selected)
-                if on_saturation == SATURATION_STOP:
-                    break
-            selected.append(candidate)
-            prefix_weights.append(total)
-    _observe_selection(strategy, "select_loop",
-                       time.perf_counter() - loop_started)
+    finished = time.perf_counter()
+    _observe_selection("select_loop", finished - loop_started)
+    _observe_selection("total", finished - started)
     return SelectionResult(seeds=selected, covered_weight=total,
                            prefix_weights=prefix_weights,
                            saturated_at=saturated_at)
 
 
 __all__ = [
-    "SELECTION_STRATEGIES",
-    "SELECTION_ENV_VAR",
-    "STRATEGY_LAZY",
-    "STRATEGY_EAGER",
-    "STRATEGY_REFERENCE",
     "SATURATION_PAD",
     "SATURATION_STOP",
-    "default_strategy",
-    "resolve_strategy",
     "min_id_dtype",
     "min_set_dtype",
     "build_inverted_csr",

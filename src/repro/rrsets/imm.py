@@ -114,7 +114,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
                    batch_sampler: Optional[BatchSampler] = None,
                    parallel_sampler: Optional[ParallelSampler] = None,
                    keep_collection: bool = False,
-                   selection_strategy: Optional[str] = None,
                    final_sink=None,
                    final_chunk_sets: int = 65_536) -> IMMResult:
     """Run the IMM sampling + node-selection skeleton.
@@ -151,11 +150,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         When true, the final RR collection is returned on
         ``IMMResult.collection`` so callers can freeze it into a persistent
         index.
-    selection_strategy:
-        Greedy-selection strategy for the node-selection phases
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); all
-        strategies return bit-identical selections, so this only trades
-        selection speed.
     final_sink:
         Optional streaming sink (an object with ``append(pairs)``, e.g.
         :class:`repro.index.stream.StreamingIndexWriter`) receiving the
@@ -221,8 +215,7 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         if x <= 0:
             break
         ensure_samples(lam_prime / x, collection)
-        selection = node_selection(collection, k,
-                                   strategy=selection_strategy)
+        selection = node_selection(collection, k)
         estimate = (num_nodes * selection.covered_weight
                     / max(collection.num_sets, 1))
         if estimate >= (1.0 + epsilon_prime) * x:
@@ -272,8 +265,7 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     else:
         final_collection = collection
     ensure_samples(theta, final_collection)
-    selection = node_selection(final_collection, k,
-                               strategy=selection_strategy)
+    selection = node_selection(final_collection, k)
     scale = num_nodes / max(final_collection.num_sets, 1)
     if cap_hit:
         warnings.warn(
@@ -299,8 +291,7 @@ def imm(graph: DirectedGraph, k: int,
         rng: RngLike = None,
         engine: Optional[str] = None,
         workers: Optional[int] = None,
-        keep_collection: bool = False,
-        selection_strategy: Optional[str] = None) -> IMMResult:
+        keep_collection: bool = False) -> IMMResult:
     """Classic single-item IMM: ``(1 - 1/e - ε)``-approximate IM seeds.
 
     ``workers`` switches sampling to the deterministic sharded builder
@@ -326,8 +317,7 @@ def imm(graph: DirectedGraph, k: int,
                               options=options, rng=rng,
                               batch_sampler=batch_sampler,
                               parallel_sampler=parallel_sampler,
-                              keep_collection=keep_collection,
-                              selection_strategy=selection_strategy)
+                              keep_collection=keep_collection)
 
 
 def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
@@ -335,8 +325,7 @@ def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
                  rng: RngLike = None,
                  engine: Optional[str] = None,
                  workers: Optional[int] = None,
-                 keep_collection: bool = False,
-                 selection_strategy: Optional[str] = None) -> IMMResult:
+                 keep_collection: bool = False) -> IMMResult:
     """IMM on *marginal* RR sets: maximizes spread on top of ``fixed_seeds``."""
     blocked = set(int(v) for v in fixed_seeds)
 
@@ -360,8 +349,7 @@ def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
                               options=options, rng=rng,
                               batch_sampler=batch_sampler,
                               parallel_sampler=parallel_sampler,
-                              keep_collection=keep_collection,
-                              selection_strategy=selection_strategy)
+                              keep_collection=keep_collection)
 
 
 def _parallel_sampler(graph: DirectedGraph, kind: str, engine: Optional[str],

@@ -85,7 +85,6 @@ class LoadedService:
 
 def load_service(index_path: Union[str, Path], *, verify: bool = True,
                  cache_size: int = 128,
-                 selection_strategy: Optional[str] = None,
                  mmap: bool = True) -> LoadedService:
     """Load an index + rebuild its instance into an :class:`AllocationService`.
 
@@ -103,8 +102,7 @@ def load_service(index_path: Union[str, Path], *, verify: bool = True,
     index = FrozenRRIndex.load(index_path, mmap=mmap)
     graph, model = _rebuild_instance(index.meta)
     return _serve_index(index, graph, model, index_path, verify=verify,
-                        cache_size=cache_size,
-                        selection_strategy=selection_strategy)
+                        cache_size=cache_size)
 
 
 def _rebuild_instance(meta: Mapping[str, Any]) -> Tuple[Any, Any]:
@@ -135,8 +133,7 @@ def _rebuild_instance(meta: Mapping[str, Any]) -> Tuple[Any, Any]:
 
 def _serve_index(index: FrozenRRIndex, graph: Any, model: Any,
                  index_path: Union[str, Path], *, verify: bool,
-                 cache_size: int, selection_strategy: Optional[str]
-                 ) -> LoadedService:
+                 cache_size: int) -> LoadedService:
     """Serve ``index`` over a given instance.
 
     With ``verify`` the stored fingerprint must equal the one the
@@ -158,8 +155,7 @@ def _serve_index(index: FrozenRRIndex, graph: Any, model: Any,
          in (meta.get("fingerprint_extra", {}).get("fixed") or {}).items()})
     service = AllocationService(index, graph=graph, model=model,
                                 fixed_allocation=fixed,
-                                cache_size=cache_size,
-                                selection_strategy=selection_strategy)
+                                cache_size=cache_size)
     return LoadedService(service=service, graph=graph, model=model,
                          fixed=fixed)
 
@@ -192,7 +188,7 @@ class IndexRegistry:
     capacity:
         Maximum number of *loaded* indexes resident at once (LRU-evicted
         beyond that; manifests always stay registered).
-    cache_size, selection_strategy, verify, mmap:
+    cache_size, verify, mmap:
         Forwarded to :func:`load_service` for every lazy load (loads are
         mmap-first by default).
     memory_budget:
@@ -214,7 +210,6 @@ class IndexRegistry:
                  directory: Optional[Union[str, Path]] = None,
                  capacity: int = 4,
                  cache_size: int = 128,
-                 selection_strategy: Optional[str] = None,
                  verify: bool = True,
                  mmap: bool = True,
                  memory_budget: Optional[int] = None,
@@ -223,7 +218,6 @@ class IndexRegistry:
         self._directory = Path(directory) if directory is not None else None
         self._capacity = max(1, int(capacity))
         self._cache_size = int(cache_size)
-        self._selection_strategy = selection_strategy
         self._verify = bool(verify)
         self._mmap = bool(mmap)
         self._memory_budget = (None if memory_budget is None
@@ -366,9 +360,7 @@ class IndexRegistry:
             # idempotent for an unchanged manifest
             loaded = load_service(
                 entry.stem, verify=self._verify,
-                cache_size=self._cache_size,
-                selection_strategy=self._selection_strategy,
-                mmap=self._mmap)
+                cache_size=self._cache_size, mmap=self._mmap)
             result = self._publish(key, expected, loaded)
             if result is not None:
                 return result
@@ -478,8 +470,7 @@ class IndexRegistry:
             if index.fingerprint == outcome.index.fingerprint:
                 self._publish(key, index.fingerprint, _serve_index(
                     index, outcome.graph, loaded.model, entry.stem,
-                    verify=self._verify, cache_size=self._cache_size,
-                    selection_strategy=self._selection_strategy))
+                    verify=self._verify, cache_size=self._cache_size))
         log_event(_LOG, logging.INFO, "index-repaired", index=key,
                   epoch=outcome.report.epoch,
                   repaired_sets=outcome.report.repaired_sets,

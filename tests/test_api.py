@@ -4,8 +4,8 @@ Covers the spec dataclasses (round-trips, validation, budget parsing), the
 centralized env-var resolution precedence, the algorithm registry
 (capability flags, anti-drift against the CLI and the experiment harness),
 spec fingerprints (golden stability file) and the bit-identical equivalence
-between the legacy ``run_algorithm`` keyword path and the ``RunSpec`` path
-for every registered algorithm.
+between an explicit ``RunSpec`` and the experiment harness's ``spec_for``
+spec for every registered algorithm.
 """
 
 import json
@@ -25,9 +25,10 @@ from repro.api import (
     run as run_spec,
 )
 from repro.cli import build_parser
-from repro.engine.config import ENGINE_ENV_VAR, SELECTION_ENV_VAR
+from repro.engine.config import ENGINE_ENV_VAR
 from repro.exceptions import AlgorithmError, SpecError
-from repro.experiments import ALGORITHMS, SMOKE, benchmark_network, run_algorithm
+from repro.experiments import ALGORITHMS, SMOKE, benchmark_network
+from repro.experiments.runners import spec_for
 from repro.utility.configs import CONFIGURATIONS, two_item_config
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fingerprints.json"
@@ -99,6 +100,10 @@ class TestSpecRoundTrips:
         with pytest.raises(SpecError, match="algorithm"):
             RunSpec.from_dict({"workload": {}})
 
+    def test_removed_selection_strategy_field_rejected(self):
+        with pytest.raises(SpecError, match="selection_strategy"):
+            EngineConfig.from_dict({"selection_strategy": "lazy"})
+
     def test_defaults_fill_missing_sections(self):
         spec = RunSpec.from_dict({"algorithm": "TCIM"})
         assert spec.workload == WorkloadSpec()
@@ -137,21 +142,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="zebra"):
             spec.validate()
 
-    def test_selection_strategy_capability(self):
-        spec = RunSpec("TCIM",
-                       engine=EngineConfig(selection_strategy="lazy"))
-        with pytest.raises(SpecError, match="selection_strategy"):
-            spec.validate()
-
     def test_workers_capability(self):
         spec = RunSpec("MaxGRD", engine=EngineConfig(workers=2))
         with pytest.raises(SpecError, match="workers"):
             spec.validate()
 
     def test_supported_combination_passes(self):
-        RunSpec("SeqGRD-NM",
-                engine=EngineConfig(workers=2,
-                                    selection_strategy="eager")).validate()
+        RunSpec("SeqGRD-NM", engine=EngineConfig(workers=2)).validate()
 
     def test_bad_engine_value(self):
         spec = RunSpec("SeqGRD-NM", engine=EngineConfig(engine="quantum"))
@@ -178,25 +175,18 @@ class TestEnvPrecedence:
 
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         resolved = EngineConfig().resolve()
         assert resolved.engine == "vectorized"
-        assert resolved.selection_strategy == "lazy"
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
         resolved = EngineConfig().resolve()
         assert resolved.engine == "python"
-        assert resolved.selection_strategy == "eager"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
-        resolved = EngineConfig(engine="vectorized",
-                                selection_strategy="reference").resolve()
+        resolved = EngineConfig(engine="vectorized").resolve()
         assert resolved.engine == "vectorized"
-        assert resolved.selection_strategy == "reference"
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
@@ -237,7 +227,7 @@ class TestRegistryAntiDrift:
         flags = {e.name: e for e in algorithm_entries()}
         assert flags["SeqGRD-NM"].supports_index
         assert flags["SupGRD"].supports_workers
-        assert not flags["TCIM"].supports_selection_strategy
+        assert not flags["TCIM"].supports_workers
         assert flags["greedyWM"].needs_candidate_pool
         assert flags["Balance-C"].needs_candidate_pool
         assert not flags["BestOf"].in_experiments
@@ -250,7 +240,6 @@ class TestRegistryAntiDrift:
 class TestFingerprint:
     def test_stable_against_golden_file(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         golden = json.loads(GOLDEN_PATH.read_text())
         assert golden, "golden fingerprint file must not be empty"
         for entry in golden:
@@ -262,10 +251,9 @@ class TestFingerprint:
 
     def test_env_resolution_folds_into_fingerprint(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         implicit = RunSpec("SeqGRD-NM").fingerprint()
         explicit = RunSpec("SeqGRD-NM", engine=EngineConfig(
-            engine="vectorized", selection_strategy="lazy")).fingerprint()
+            engine="vectorized")).fingerprint()
         assert implicit == explicit
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
         assert RunSpec("SeqGRD-NM").fingerprint() != implicit
@@ -282,7 +270,8 @@ class TestFingerprint:
 
 class TestRunSpecEquivalence:
     """Acceptance: every registered algorithm produces bit-identical
-    allocations via the RunSpec API vs. the run_algorithm keyword path."""
+    allocations from an explicit RunSpec and from the harness's
+    ``spec_for`` spec run with the preset's options."""
 
     @pytest.fixture(scope="class")
     def instance(self):
@@ -294,10 +283,11 @@ class TestRunSpecEquivalence:
     def test_bit_identical_allocations(self, algorithm, instance):
         graph, model = instance
         budgets = {"i": 2} if algorithm == "SupGRD" else {"i": 2, "j": 2}
-        legacy = run_algorithm(algorithm, graph, model, budgets=budgets,
-                               scale=SMOKE, configuration="C1",
-                               superior_item="i" if algorithm == "SupGRD"
-                               else None)
+        legacy = run_spec(
+            spec_for(algorithm, SMOKE, network=graph.name,
+                     configuration="C1", budgets=budgets,
+                     superior_item="i" if algorithm == "SupGRD" else None),
+            graph=graph, model=model, options=SMOKE.imm_options)
         spec = RunSpec(
             algorithm=algorithm,
             workload=WorkloadSpec(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run
 from repro.exceptions import AlgorithmError
 from repro.experiments import (
     ALGORITHMS,
@@ -16,13 +17,13 @@ from repro.experiments import (
     figure7,
     format_table,
     get_scale,
-    run_algorithm,
     summarize_by,
     table2,
     table5,
     table6,
 )
 from repro.experiments.config import ExperimentScale
+from repro.experiments.runners import spec_for
 from repro.utility.configs import two_item_config
 
 
@@ -64,9 +65,10 @@ class TestRunAlgorithm:
     def test_dispatch_and_record(self):
         graph = benchmark_network("nethept", SMOKE)
         model = two_item_config("C1")
-        record = run_algorithm("SeqGRD-NM", graph, model,
-                               budgets={"i": 2, "j": 2}, scale=SMOKE,
-                               configuration="C1", rng=1)
+        spec = spec_for("SeqGRD-NM", SMOKE, network=graph.name,
+                        configuration="C1", budgets={"i": 2, "j": 2})
+        record = run(spec, graph=graph, model=model, rng=1,
+                     options=SMOKE.imm_options)
         assert record.algorithm == "SeqGRD-NM"
         assert record.welfare > 0
         assert record.runtime_seconds > 0
@@ -77,9 +79,10 @@ class TestRunAlgorithm:
     def test_unknown_algorithm(self):
         graph = benchmark_network("nethept", SMOKE)
         model = two_item_config("C1")
+        spec = spec_for("Mystery", SMOKE, network=graph.name,
+                        budgets={"i": 1})
         with pytest.raises(AlgorithmError):
-            run_algorithm("Mystery", graph, model, budgets={"i": 1},
-                          scale=SMOKE)
+            run(spec, graph=graph, model=model, options=SMOKE.imm_options)
 
     def test_algorithm_roster(self):
         assert "SeqGRD" in ALGORITHMS and "TCIM" in ALGORITHMS

@@ -422,6 +422,16 @@ class TestCapHitMetadata:
             result = imm(two_node_graph, 1, options=options, rng=1)
         assert result.cap_hit is False
 
+    def test_marginal_build_records_cap_hit(self, graph, model):
+        tiny = IMMOptions(max_rr_sets=300, min_rr_sets=16)
+        index = build_index(graph, model, sampler="marginal",
+                            budgets={"i": 2, "j": 2}, options=tiny, seed=5)
+        assert index.meta["cap_hit"] is True
+        # an index-served run reports the cap its build hit
+        served = seqgrd_nm(graph, model, {"i": 2, "j": 2}, index=index,
+                           rng=0)
+        assert served.details["cap_hit"] is True
+
 
 class TestRRCollectionExtend:
     def test_extend_matches_repeated_add(self):

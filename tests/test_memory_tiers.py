@@ -20,7 +20,6 @@ from repro.index import (
 )
 from repro.rrsets.coverage import (
     RRCollection,
-    SELECTION_STRATEGIES,
     min_id_dtype,
     min_set_dtype,
     node_selection,
@@ -77,10 +76,8 @@ class TestDtypeAdaptation:
         results = {}
         for label, store in (("int32", narrow.freeze()),
                              ("int64", wide.freeze())):
-            for strategy in SELECTION_STRATEGIES:
-                got = node_selection(store, 6, strategy=strategy)
-                results.setdefault(label, []).append(
-                    (got.seeds, got.prefix_weights))
+            got = node_selection(store, 6)
+            results[label] = (got.seeds, got.prefix_weights)
         assert results["int32"] == results["int64"]
 
     def test_array_nbytes_reflects_narrow_ids(self):
@@ -154,11 +151,10 @@ class TestV2Format:
         heap = FrozenRRIndex.load(tmp_path / "idx")
         assert heap.mmapped is False
         assert heap.resident_nbytes() == heap.array_nbytes() > 0
-        for strategy in SELECTION_STRATEGIES:
-            a = node_selection(mapped, 5, strategy=strategy)
-            b = node_selection(heap, 5, strategy=strategy)
-            assert a.seeds == b.seeds
-            assert a.prefix_weights == b.prefix_weights
+        a = node_selection(mapped, 5)
+        b = node_selection(heap, 5)
+        assert a.seeds == b.seeds
+        assert a.prefix_weights == b.prefix_weights
 
 
 class TestV1ReadCompat:
@@ -196,11 +192,10 @@ class TestV1ReadCompat:
                                           np.asarray(b).astype(np.int64))
         np.testing.assert_array_equal(frozen.initial_gains(),
                                       loaded.initial_gains())
-        for strategy in SELECTION_STRATEGIES:
-            a = node_selection(frozen, 5, strategy=strategy)
-            b = node_selection(loaded, 5, strategy=strategy)
-            assert a.seeds == b.seeds
-            assert a.prefix_weights == b.prefix_weights
+        a = node_selection(frozen, 5)
+        b = node_selection(loaded, 5)
+        assert a.seeds == b.seeds
+        assert a.prefix_weights == b.prefix_weights
 
     def test_v1_mmap_request_falls_back_to_heap(self, tmp_path):
         frozen = sample_collection().freeze()

@@ -37,6 +37,21 @@ class TestPrimaPlus:
         with pytest.raises(AlgorithmError):
             prima_plus(empty, [], [1], 1, options=FAST)
 
+    def test_cap_hit_reported(self, small_er_graph):
+        ample = prima_plus(small_er_graph, [], [3, 3], 6, options=FAST,
+                           rng=1)
+        assert ample.cap_hit is False
+        assert ample.num_rr_sets < FAST.max_rr_sets
+        tiny = IMMOptions(max_rr_sets=300, min_rr_sets=16)
+        capped = prima_plus(small_er_graph, [], [3, 3], 6, options=tiny,
+                            rng=1)
+        assert capped.cap_hit is True
+        assert capped.num_rr_sets <= 300
+        # one below the ample run's final θ: only the final sample is cut
+        below = IMMOptions(max_rr_sets=ample.num_rr_sets - 1)
+        assert prima_plus(small_er_graph, [], [3, 3], 6, options=below,
+                          rng=1).cap_hit is True
+
     def test_no_fixed_seeds_matches_imm_prefix(self, small_er_graph):
         """With S_P = ∅ the PRIMA+ order behaves like plain IMM."""
         prima = prima_plus(small_er_graph, [], [4], 4, options=FAST, rng=7)

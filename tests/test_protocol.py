@@ -110,6 +110,14 @@ class TestVersionedRequests:
         assert response["error"]["code"] == "invalid-spec"
         assert "bogus" in response["error"]["message"]
 
+    def test_removed_selection_strategy_field_envelope(self, server, spec):
+        wire = spec.to_dict()
+        wire["engine"]["selection_strategy"] = "eager"
+        response = serve(server, {"v": 1, "spec": wire})
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid-spec"
+        assert "selection_strategy" in response["error"]["message"]
+
     def test_unknown_algorithm_envelope(self, server):
         response = serve(
             server, {"v": 1, "spec": {"algorithm": "Mystery"}})

@@ -1,12 +1,15 @@
 """Equivalence suite for the CSR-native selection engine.
 
-The contract under test: the three ``node_selection`` strategies
-(``lazy`` / ``eager`` / ``reference``) return bit-identical
-:class:`SelectionResult` s — same seeds, same ``prefix_weights`` floats,
-same ``saturated_at`` — over any weighted RR collection, and the growable
-:class:`RRCollection`, its zero-copy :meth:`freeze` and the ``.npz``
-round-trip all preserve that identity.
+The contract under test: ``node_selection`` returns
+:class:`SelectionResult` s bit-identical to :func:`reference_selection`,
+the pure-Python greedy loop kept here as the oracle — same seeds, same
+``prefix_weights`` floats, same ``covered_weight``, same ``saturated_at`` —
+over any weighted RR collection, and the growable :class:`RRCollection`,
+its zero-copy :meth:`freeze` and the ``.npz`` round-trip all preserve
+that identity.
 """
+
+from typing import List, Optional
 
 import numpy as np
 import pytest
@@ -16,14 +19,56 @@ from hypothesis import strategies as st
 from repro.exceptions import AlgorithmError
 from repro.index.frozen import FrozenRRIndex
 from repro.rrsets.coverage import (
-    SELECTION_ENV_VAR,
-    SELECTION_STRATEGIES,
+    SATURATION_PAD,
+    SATURATION_STOP,
     RRCollection,
-    default_strategy,
+    SelectionResult,
     node_selection,
-    resolve_strategy,
 )
 from repro.rrsets.imm import imm
+
+
+def reference_selection(collection, k: int,
+                        on_saturation: str = SATURATION_PAD
+                        ) -> SelectionResult:
+    """The pure-Python greedy oracle: one set and one member at a time."""
+    n = collection.num_nodes
+    gains = collection.initial_gains()
+    weights = collection.weights()
+    covered = np.zeros(collection.num_sets, dtype=bool)
+    selected: List[int] = []
+    prefix_weights: List[float] = []
+    total = 0.0
+    saturated_at: Optional[int] = None
+    chosen = np.zeros(n, dtype=bool)
+    for _ in range(k):
+        candidate = int(np.argmax(np.where(chosen, -np.inf, gains)))
+        if chosen[candidate]:
+            break
+        chosen[candidate] = True
+        covered_new = 0
+        for set_index in collection.sets_covered_by(candidate):
+            if covered[set_index]:
+                continue
+            covered[set_index] = True
+            covered_new += 1
+            weight = weights[set_index]
+            total += weight
+            for node in collection.set_members(set_index):
+                gains[int(node)] -= weight
+        if covered_new == 0 and saturated_at is None:
+            saturated_at = len(selected)
+            if on_saturation == SATURATION_STOP:
+                break
+        selected.append(candidate)
+        prefix_weights.append(total)
+    return SelectionResult(seeds=selected, covered_weight=total,
+                           prefix_weights=prefix_weights,
+                           saturated_at=saturated_at)
+
+
+#: the production loop and its oracle, by test id
+SELECTORS = {"eager": node_selection, "reference": reference_selection}
 
 
 def random_collection(rng, num_nodes=12, num_sets=30, weighted=True,
@@ -64,22 +109,20 @@ class TestStrategyEquivalence:
         rng = np.random.default_rng(seed)
         collection = random_collection(rng, weighted=weighted)
         for k in (0, 1, 3, 7, 12):
-            results = {strategy: node_selection(collection, k,
-                                                strategy=strategy)
-                       for strategy in SELECTION_STRATEGIES}
-            assert_identical(results["lazy"], results["reference"])
-            assert_identical(results["eager"], results["reference"])
+            for mode in (SATURATION_PAD, SATURATION_STOP):
+                assert_identical(
+                    node_selection(collection, k, on_saturation=mode),
+                    reference_selection(collection, k, on_saturation=mode))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_frozen_matches_growable(self, seed):
         rng = np.random.default_rng(100 + seed)
         collection = random_collection(rng, num_nodes=15, num_sets=40)
         frozen = collection.freeze()
-        for strategy in SELECTION_STRATEGIES:
-            for k in (1, 4, 9):
-                assert_identical(
-                    node_selection(collection, k, strategy=strategy),
-                    node_selection(frozen, k, strategy=strategy))
+        for k in (1, 4, 9):
+            expected = reference_selection(collection, k)
+            assert_identical(node_selection(collection, k), expected)
+            assert_identical(node_selection(frozen, k), expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extend_matches_add(self, seed):
@@ -92,20 +135,22 @@ class TestStrategyEquivalence:
         bulk.extend(pairs)
         assert bulk.total_weight == reference.total_weight
         for k in (2, 6):
-            assert_identical(node_selection(bulk, k, strategy="lazy"),
-                             node_selection(reference, k, strategy="lazy"))
+            assert_identical(node_selection(bulk, k),
+                             node_selection(reference, k))
 
     def test_equivalence_on_sampled_rr_sets(self, small_er_graph):
-        results = [imm(small_er_graph, 5, rng=7,
-                       selection_strategy=strategy)
-                   for strategy in SELECTION_STRATEGIES]
-        for other in results[1:]:
-            assert other.seeds == results[0].seeds
-            assert other.estimated_value == results[0].estimated_value
-            assert other.prefix_values == results[0].prefix_values
+        result = imm(small_er_graph, 5, rng=7, keep_collection=True)
+        collection = result.collection
+        expected = reference_selection(collection, 5)
+        scale = collection.num_nodes / collection.num_sets
+        assert result.seeds == expected.seeds
+        assert result.estimated_value == expected.covered_weight * scale
+        assert result.prefix_values == [weight * scale for weight
+                                        in expected.prefix_weights]
 
 
-# property-based: the strategies agree on arbitrary weighted instances
+# property-based: the loop and the oracle agree on arbitrary weighted
+# instances
 rr_sets_strategy = st.lists(
     st.tuples(st.lists(st.integers(min_value=0, max_value=9), min_size=0,
                        max_size=5, unique=True),
@@ -120,11 +165,33 @@ def test_property_strategies_bit_identical(sets, k):
     for nodes, weight in sets:
         collection.add(np.array(nodes, dtype=np.int64), weight)
     frozen = collection.freeze()
-    reference = node_selection(collection, k, strategy="reference")
+    reference = reference_selection(collection, k)
     for holder in (collection, frozen):
-        for strategy in ("lazy", "eager"):
-            assert_identical(node_selection(holder, k, strategy=strategy),
-                             reference)
+        assert_identical(node_selection(holder, k), reference)
+
+
+# integer weights keep every sum exact, so coverage's submodularity shows
+# in the greedy's prefix weights without rounding slack
+integer_rr_sets = st.lists(
+    st.tuples(st.lists(st.integers(min_value=0, max_value=9), min_size=0,
+                       max_size=5, unique=True),
+              st.integers(min_value=0, max_value=5)),
+    min_size=1, max_size=20)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sets=integer_rr_sets, k=st.integers(min_value=0, max_value=11))
+def test_property_prefix_weights_are_submodular(sets, k):
+    collection = RRCollection(10)
+    for nodes, weight in sets:
+        collection.add(np.array(nodes, dtype=np.int64), float(weight))
+    result = node_selection(collection, k)
+    increments = np.diff([0.0] + result.prefix_weights)
+    assert (increments >= 0).all()  # prefix weights never decrease
+    assert (np.diff(increments) <= 0).all()  # increments never increase
+    if result.saturated_at is not None:
+        assert (increments[result.saturated_at:] == 0).all()
+    assert result.covered_weight == collection.covered_weight(result.seeds)
 
 
 class TestSaturation:
@@ -136,32 +203,31 @@ class TestSaturation:
         collection.add(np.array([1]), 1.0)
         return collection
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(SELECTORS))
     def test_pad_keeps_k_seeds_and_reports_saturation(self, strategy):
-        result = node_selection(self.make_saturating(), 4,
-                                strategy=strategy)
+        result = SELECTORS[strategy](self.make_saturating(), 4)
         assert result.seeds == [0, 1, 2, 3]  # zero-gain pad: lowest ids
         assert result.saturated_at == 2
         assert result.prefix_weights == [3.0, 4.0, 4.0, 4.0]
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(SELECTORS))
     def test_stop_truncates_at_saturation(self, strategy):
-        result = node_selection(self.make_saturating(), 4,
-                                strategy=strategy, on_saturation="stop")
+        result = SELECTORS[strategy](self.make_saturating(), 4,
+                                     on_saturation="stop")
         assert result.seeds == [0, 1]
         assert result.saturated_at == 2
         assert result.prefix_weights == [3.0, 4.0]
         assert result.covered_weight == 4.0
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(SELECTORS))
     def test_unsaturated_selection_reports_none(self, strategy):
         collection = RRCollection(3)
         for node in range(3):
             collection.add(np.array([node]), 1.0)
-        result = node_selection(collection, 2, strategy=strategy)
+        result = SELECTORS[strategy](collection, 2)
         assert result.saturated_at is None
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(SELECTORS))
     def test_saturation_detected_despite_float_residue(self, strategy):
         # incremental subtraction can leave ~1-ulp residue on the gains of
         # fully covered nodes (0.1 + 0.3 summed forward, subtracted in
@@ -172,11 +238,10 @@ class TestSaturation:
         collection.add(np.array([1, 2]), 0.3)
         collection.add(np.array([0]), 5.0)
         collection.add(np.array([1]), 4.0)
-        result = node_selection(collection, 3, strategy=strategy)
+        result = SELECTORS[strategy](collection, 3)
         assert result.seeds == [0, 1, 2]
         assert result.saturated_at == 2
-        stopped = node_selection(collection, 3, strategy=strategy,
-                                 on_saturation="stop")
+        stopped = SELECTORS[strategy](collection, 3, on_saturation="stop")
         assert stopped.seeds == [0, 1]
         assert stopped.saturated_at == 2
 
@@ -234,10 +299,8 @@ class TestPackedStore:
         np.testing.assert_array_equal(loaded._inv_offsets,
                                       frozen._inv_offsets)
         np.testing.assert_array_equal(loaded._inv_sets, frozen._inv_sets)
-        for strategy in SELECTION_STRATEGIES:
-            assert_identical(node_selection(loaded, 6, strategy=strategy),
-                             node_selection(collection, 6,
-                                            strategy=strategy))
+        assert_identical(node_selection(loaded, 6),
+                         node_selection(collection, 6))
 
     def test_compact_freeze_copies_buffers(self):
         rng = np.random.default_rng(19)
@@ -270,15 +333,13 @@ class TestPackedStore:
                          node_selection(collection, 5))
 
     def test_duplicate_members_stay_equivalent(self):
-        # duplicated members duplicate postings; all strategies must still
-        # count each covered set's weight exactly once
+        # duplicated members duplicate postings; the loop must still count
+        # each covered set's weight exactly once, as the oracle does
         collection = RRCollection(4)
         collection.add(np.array([1, 1, 2]), 3.0)
         collection.add(np.array([2, 3]), 1.0)
-        reference = node_selection(collection, 3, strategy="reference")
-        for strategy in ("lazy", "eager"):
-            assert_identical(node_selection(collection, 3,
-                                            strategy=strategy), reference)
+        reference = reference_selection(collection, 3)
+        assert_identical(node_selection(collection, 3), reference)
         assert reference.covered_weight == 4.0
 
     def test_member_validation(self):
@@ -297,27 +358,3 @@ class TestPackedStore:
             expected = sum(weights[i]
                            for i in collection.sets_covered_by(node))
             assert gains[node] == pytest.approx(expected)
-
-
-class TestStrategyResolution:
-    def test_default_is_lazy(self, monkeypatch):
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
-        assert default_strategy() == "lazy"
-        assert resolve_strategy(None) == "lazy"
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
-        assert resolve_strategy(None) == "eager"
-
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "psychic")
-        with pytest.raises(ValueError):
-            default_strategy()
-
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_strategy("psychic")
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "reference")
-        assert resolve_strategy("eager") == "eager"
