@@ -14,7 +14,10 @@ The cases cover what such a change can get wrong:
   pins ``REPRO_ENGINE_BATCH`` itself, to 7 and to unset, because the
   chunk size is part of the stream samplers' RNG stream);
 * blocked roots, marginal sets killed mid-walk, and weighted roots that
-  sit on fixed seeds.
+  sit on fixed seeds;
+* the in-process output of :class:`~repro.index.builder.ParallelRRSampler`,
+  whose shards each draw from their own seed stream: two ``generate``
+  calls over a shard size that leaves a short final shard.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.engine.reverse import (
 )
 from repro.graphs import generators, weighting
 from repro.graphs.graph import DirectedGraph
+from repro.index.builder import ParallelRRSampler, ShardSpec
+from repro.rrsets.coverage import PackedRRBatch
 from repro.rrsets.rrset import WeightedRRSampler
 
 #: 0 -> {1, 2} -> 3 -> 4, every edge live: a walk from 3 or 4 reaches
@@ -122,6 +127,25 @@ KEYED_CASES = [
         superior_utility=1.0)),
 ]
 
+def _shards(seed, **spec_kwargs):
+    """Two in-process ``generate`` calls: shards of 300, 300, 300 and 200
+    sets, then one of 250."""
+    spec = ShardSpec(graph=ER, **spec_kwargs)
+    with ParallelRRSampler(spec, seed=seed, shard_sets=300) as sampler:
+        batch = PackedRRBatch.concat([sampler.generate(1100),
+                                      sampler.generate(250)])
+    return batch.offsets, batch.nodes, batch.weights
+
+
+SHARD_CASES = [
+    ("shards-standard-er", lambda: _shards(21, kind="standard")),
+    ("shards-marginal-er", lambda: _shards(
+        22, kind="marginal", blocked=frozenset(ER_SEEDS))),
+    ("shards-weighted-er", lambda: _shards(
+        23, kind="weighted", node_block_utility=ER_BLOCK,
+        superior_utility=1.0)),
+]
+
 #: stream digests per ``REPRO_ENGINE_BATCH`` setting (chunking is part of
 #: the stream)
 STREAM_GOLDEN = {
@@ -151,6 +175,20 @@ STREAM_GOLDEN = {
     },
 }
 
+#: in-process sharded digests per ``REPRO_ENGINE_BATCH`` setting
+SHARD_GOLDEN = {
+    "7": {
+        "shards-standard-er": "c778d8f72524f921",
+        "shards-marginal-er": "28e2ebcdab3d3a04",
+        "shards-weighted-er": "bf49c76615093353",
+    },
+    None: {
+        "shards-standard-er": "7e979c51d2656a4b",
+        "shards-marginal-er": "b39711a5160c31e5",
+        "shards-weighted-er": "aaa45ad80bada83a",
+    },
+}
+
 #: keyed digests: keyed coins are chunking-independent, so one table
 #: serves every batch setting
 KEYED_GOLDEN = {
@@ -176,6 +214,12 @@ def batch(request, monkeypatch):
                          ids=[name for name, _ in _stream_cases()])
 def test_stream_sampler_digest(batch, name, draw):
     assert _digest(*draw()) == STREAM_GOLDEN[batch][name]
+
+
+@pytest.mark.parametrize("name, draw", SHARD_CASES,
+                         ids=[name for name, _ in SHARD_CASES])
+def test_shard_sampler_digest(batch, name, draw):
+    assert _digest(*draw()) == SHARD_GOLDEN[batch][name]
 
 
 @pytest.mark.parametrize("name, draw", KEYED_CASES,
