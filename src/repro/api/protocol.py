@@ -194,10 +194,9 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
     allocations bit-identical to a direct run: an RR-set kind the
     algorithm executes against (marginal/standard for SeqGRD-NM, weighted
     for SupGRD), the superior item a weighted index was sampled for, same
-    network, scale, configuration, seed, IMM accuracy knobs, engine,
-    fixed-IMM workload and sampling mode (serial vs. sharded — RR-set
-    *contents* are worker-count-invariant, but the serial and sharded
-    streams differ).
+    network, scale, configuration, seed, IMM accuracy knobs, engine and
+    fixed-IMM workload.  ``workers`` is not checked: every worker count,
+    ``None`` included, samples the same shard stream.
     """
     samplers = _index_samplers(spec.algorithm)
     sampler = meta.get("sampler")
@@ -226,8 +225,6 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
         ("engine", engine.engine, meta.get("engine")),
         ("fixed_imm_item", workload.fixed_imm_item,
          meta.get("fixed_imm_item")),
-        ("sharded sampling", engine.workers is not None,
-         meta.get("workers") is not None),
         # repairable indexes sample with the keyed engine
         # (repro.dynamic), whose coin stream is not bit-identical to the
         # stream-RNG engines — no v1 spec ever routes to one, which is

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -71,8 +70,7 @@ from repro.experiments import (
 )
 from repro.graphs.datasets import NETWORKS, load_network, network_statistics
 from repro.graphs.loaders import write_edge_list
-from repro.index import DEFAULT_SHARD_SIZE, SAMPLER_KINDS, build_index
-from repro.index.builder import SHARD_ENV_VAR
+from repro.index import SAMPLER_KINDS, build_index
 from repro.utility.configs import CONFIGURATIONS, configuration_model  # noqa: F401 (CONFIGURATIONS re-exported for callers)
 from repro.utility.learning import learn_utilities
 
@@ -147,21 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--stream", action="store_true",
                        help="standard sampler only: spill RR-set chunks "
                             "straight to the on-disk v2 layout (bounded "
-                            "working set; bit-identical to a sharded "
-                            "in-RAM build)")
+                            "working set; bit-identical to an in-RAM "
+                            "build)")
     build.add_argument("--rr-sets", type=int, default=None,
                        help="with --stream: skip adaptive IMM and sample "
                             "exactly this many RR sets (fixed θ)")
     build.add_argument("--chunk-sets", type=int, default=None,
                        help="with --stream: RR sets per spilled chunk "
                             "(rounded up to a shard multiple)")
-    build.add_argument("--shard-sets", type=int, default=None,
-                       help="RR sets per deterministic shard (default "
-                            f"{DEFAULT_SHARD_SIZE}, or the "
-                            f"{SHARD_ENV_VAR} environment variable); "
-                            "changing it changes which sets a sharded "
-                            "build samples, but never breaks the "
-                            "worker-count invariance")
     build.add_argument("--repairable", action="store_true",
                        help="standard sampler only: sample with keyed "
                             "per-(set, edge) coins so the index supports "
@@ -483,14 +474,6 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    if getattr(args, "shard_sets", None):
-        if args.shard_sets <= 0:
-            print("error: --shard-sets must be positive", file=sys.stderr)
-            return 2
-        # the builder reads the shard size through its env knob, which
-        # keeps every sampling path (build, stream, PRIMA+ internals) on
-        # the same deterministic shard layout
-        os.environ[SHARD_ENV_VAR] = str(args.shard_sets)
     workload = workload_from_args(args)
     engine = engine_from_args(args).resolve()
     model = configuration_model(workload.configuration)

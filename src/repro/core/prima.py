@@ -22,22 +22,19 @@ most demanding sample size.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-import numpy as np
-
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
-from repro.engine.reverse import marginal_rr_sets_packed
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
-from repro.rrsets.coverage import PackedRRBatch, RRCollection, node_selection
-from repro.rrsets.imm import IMMOptions
-from repro.rrsets.rrset import marginal_rr_set
-from repro.utils.rng import RngLike, derive_seed, ensure_rng
+from repro.rrsets.coverage import RRCollection, node_selection
+from repro.rrsets.imm import IMMOptions, rr_stream
+# kept as a module attribute: perfbench's traced run-cold wraps
+# repro.core.prima.marginal_rr_set
+from repro.rrsets.rrset import marginal_rr_set  # noqa: F401
+from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass
@@ -93,18 +90,18 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     options:
         IMM accuracy options (ε, ℓ, sampling caps).
     workers:
-        When given, marginal RR sets come from the deterministic sharded
-        builder with this many worker processes (identical results for any
-        worker count at a fixed seed); ``None`` keeps the serial stream.
+        Worker processes sampling the marginal RR sets of
+        :func:`~repro.rrsets.imm.rr_stream`'s SeedSequence shards;
+        ``None`` samples the same shards in process, so the results are
+        identical for every worker count at a fixed seed.
     keep_collection:
         Return the final RR collection on ``PrimaResult.collection`` so it
         can be frozen into a persistent index.
     engine:
-        ``"vectorized"`` draws each round's missing serial sets in one
-        batched :func:`~repro.engine.reverse.marginal_rr_sets_packed`
-        call; ``"python"`` keeps the scalar :func:`marginal_rr_set` loop
-        (the reference oracle).  The two draw different RNG streams with
-        the same distribution.
+        ``"vectorized"`` samples each round's missing sets through one
+        batched chunk loop; ``"python"`` samples the same shard streams
+        with the scalar :func:`marginal_rr_set` (the reference oracle).
+        The two draw different sets with the same distribution.
     """
     options = options or IMMOptions()
     rng = ensure_rng(rng)
@@ -122,39 +119,20 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     epsilon_prime = math.sqrt(2.0) * epsilon
     ell_adj = adjusted_ell(n, options.ell, num_budgets=len(budget_list))
 
-    sampler_context = contextlib.nullcontext(None)
-    if workers is not None:
-        from repro.index.builder import ParallelRRSampler, ShardSpec
-
-        sampler_context = ParallelRRSampler(
-            ShardSpec(kind="marginal", graph=graph,
-                      blocked=frozenset(blocked)),
-            seed=derive_seed(rng), workers=workers)
-
     # the context manager releases the (registry-warm) worker pool even
     # when the sampling phase raises
-    vectorized = resolve_engine(engine) == ENGINE_VECTORIZED
     cap_hit = False
-    with sampler_context as parallel_sampler:
+    with rr_stream(graph, "marginal", rng, engine, workers,
+                   blocked=blocked) as sample:
         def sample_into(collection: RRCollection, target: float) -> None:
             nonlocal cap_hit
             requested = int(math.ceil(target))
             if requested > options.max_rr_sets:
                 cap_hit = True
-            target = min(requested, options.max_rr_sets)
-            missing = target - collection.num_sets
-            if missing <= 0:
-                return
-            if parallel_sampler is not None:
-                collection.extend(parallel_sampler(missing))
-            elif vectorized:
-                offsets, nodes = marginal_rr_sets_packed(graph, blocked,
-                                                         missing, rng)
-                collection.extend(PackedRRBatch(offsets, nodes,
-                                                np.ones(missing)))
-            else:
-                for _ in range(missing):
-                    collection.add(marginal_rr_set(graph, blocked, rng), 1.0)
+            missing = min(requested, options.max_rr_sets) \
+                - collection.num_sets
+            if missing > 0:
+                collection.extend(sample(missing))
 
         # --------------------------------------------------------------
         # sampling phase: one lower-bound search per distinct budget,

@@ -73,9 +73,10 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         When true, the returned result carries a Monte-Carlo estimate of
         ``ρ(S ∪ S_P)``.
     workers:
-        When given, PRIMA+'s marginal RR sets come from the deterministic
-        sharded builder with this many worker processes (identical results
-        for any worker count at a fixed seed).
+        Worker processes sampling PRIMA+'s marginal RR sets from the
+        SeedSequence shards; ``None`` samples the same shards in process,
+        so the results are identical for every worker count at a fixed
+        seed.
     index:
         A prebuilt marginal :class:`~repro.index.frozen.FrozenRRIndex`:
         PRIMA+'s sampling is skipped and the ordered seed pool comes from

@@ -18,23 +18,19 @@ the best fixed item reaching it to ``i_m``; covering the sampled sets with
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Optional
-
-import numpy as np
 
 from repro.allocation import Allocation
 from repro.core.results import AllocationResult, degenerate_result
 from repro.diffusion.estimators import estimate_welfare
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.coverage import node_selection
-from repro.rrsets.imm import IMMOptions, run_imm_engine
+from repro.rrsets.imm import IMMOptions, rr_stream, run_imm_engine
 from repro.rrsets.rrset import WeightedRRSampler
 from repro.utility.model import UtilityModel
-from repro.utils.rng import RngLike, derive_seed, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng
 
 #: index sampler kinds a prebuilt-index SupGRD run accepts (``None``:
 #: indexes whose manifest predates the sampler field)
@@ -72,9 +68,10 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
         and violations raise :class:`AlgorithmError`; ``False`` lets callers
         run SupGRD as a heuristic outside its guaranteed regime.
     workers:
-        When given, weighted RR sets come from the deterministic sharded
-        builder with this many worker processes (identical results for any
-        worker count at a fixed seed); ``None`` keeps the serial stream.
+        Worker processes sampling the weighted RR sets of
+        :func:`~repro.rrsets.imm.rr_stream`'s SeedSequence shards;
+        ``None`` samples the same shards in process, so the results are
+        identical for every worker count at a fixed seed.
     index:
         A prebuilt weighted :class:`~repro.index.frozen.FrozenRRIndex`.
         Sampling is skipped entirely — seeds come from one greedy coverage
@@ -130,34 +127,15 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
                                 details={"superior_item": superior_item,
                                          "num_rr_sets": 0})
 
-    def sampler(generator: np.random.Generator):
-        rr = sampler_state.sample(generator)
-        return rr.nodes, rr.weight
-
-    # packed batches, which the RR collection splices in bulk
-    batch_sampler = sampler_state.sample_pairs \
-        if resolve_engine(engine) == ENGINE_VECTORIZED else None
-
-    sampler_context = contextlib.nullcontext(None)
-    if workers is not None:
-        from repro.index.builder import ParallelRRSampler, ShardSpec
-
-        sampler_context = ParallelRRSampler(
-            ShardSpec(kind="weighted", graph=graph,
-                      engine=resolve_engine(engine),
-                      node_block_utility=sampler_state.node_block_utility,
-                      superior_utility=superior_utility),
-            seed=derive_seed(rng), workers=workers)
-
-    # context manager: the (registry-warm) pool reference is released even
+    # the context manager releases the (registry-warm) worker pool even
     # when the IMM engine raises
-    with sampler_context as parallel_sampler:
+    with rr_stream(graph, "weighted", rng, engine, workers,
+                   node_block_utility=sampler_state.node_block_utility,
+                   superior_utility=superior_utility) as sample:
         imm_result = run_imm_engine(
-            graph.num_nodes, budget, sampler,
+            graph.num_nodes, budget, sample,
             max_value=float(graph.num_nodes) * superior_utility,
-            options=options, rng=rng, batch_sampler=batch_sampler,
-            parallel_sampler=parallel_sampler,
-            keep_collection=keep_rr_collection)
+            options=options, keep_collection=keep_rr_collection)
     allocation = Allocation({superior_item: imm_result.seeds}) \
         if imm_result.seeds else Allocation.empty()
     runtime = time.perf_counter() - start
@@ -198,7 +176,8 @@ def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
     One greedy coverage selection over the frozen collection — the same
     ``node_selection`` the build ran — so the served seeds are bit-identical
     to the build-time allocation (for the built budget) or its greedy
-    prefix (for smaller budgets).
+    prefix (for smaller budgets).  ``cap_hit`` is the one the build
+    recorded in the manifest.
     """
     if index.num_nodes != graph.num_nodes:
         raise AlgorithmError(
@@ -231,6 +210,7 @@ def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
             "superior_truncated_utility": index.meta.get("superior_utility"),
             "estimated_marginal_welfare": selection.covered_weight * scale,
             "num_rr_sets": index.num_sets,
+            "cap_hit": bool(index.meta.get("cap_hit", False)),
             "served_from_index": True,
         },
     )

@@ -15,7 +15,9 @@ cleared at, only the (sample, node) pairs the chunk touched — a few
 members per set, never a scan of all ``K × n`` cells.
 
 The three samplers implement the same semantics as their scalar
-counterparts and share one chunk loop:
+counterparts and share one chunk loop, :func:`sample_packed`, which also
+runs several RNG streams in a row through one visited buffer (the shards
+of :class:`~repro.index.builder.ParallelRRSampler`):
 
 * standard RR sets — plain reverse reachability;
 * marginal RR sets — discarded (emptied) as soon as the BFS touches the
@@ -97,21 +99,36 @@ def _as_views(offsets: np.ndarray, nodes: np.ndarray) -> List[np.ndarray]:
             for k in range(len(offsets) - 1)]
 
 
-def _sample_packed(graph: DirectedGraph, kind: str, count: int,
-                   rng: RngLike, roots: Optional[Sequence[int]],
-                   blocked: Optional[Dict[int, float]] = None,
-                   superior_utility: float = 0.0
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray]:
+def _chunks(n: int, streams: Sequence[Tuple[np.random.Generator, int]]):
+    """Yield ``(rng, chunk size)`` per chunk.  Each stream is chunked on
+    its own, by :func:`batch_size` of the sets it has left."""
+    for rng, size in streams:
+        while size > 0:
+            chunk = batch_size(n, size)
+            yield rng, chunk
+            size -= chunk
+
+
+def sample_packed(graph: DirectedGraph, kind: str,
+                  streams: Sequence[Tuple[np.random.Generator, int]],
+                  roots: Optional[Sequence[int]] = None,
+                  blocked: Optional[Dict[int, float]] = None,
+                  superior_utility: float = 0.0
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]:
     """The chunk loop of the three stream samplers.
 
-    ``blocked`` maps each fixed seed to its block utility (marginal
-    sampling only reads the keys).  Returns ``(offsets, nodes, weights,
-    roots)``.  Chunk sizes come from :func:`batch_size`; together with
-    the seed they fix the RNG stream, because roots are drawn per chunk.
+    ``streams`` holds ``(rng, count)`` pairs, sampled in order into one
+    packed output through one visited buffer.  Each stream is chunked on
+    its own (:func:`_chunks`); together with its seed that fixes its sets,
+    because roots are drawn per chunk, so a stream draws the same sets
+    alone or next to others.  ``roots``, when given, holds one root per
+    set across all streams.  ``blocked`` maps each fixed seed to its
+    block utility (marginal sampling only reads the keys).  Returns
+    ``(offsets, nodes, weights, roots)``.
     """
-    rng = ensure_rng(rng)
-    count = max(int(count), 0)
+    streams = [(rng, max(int(count), 0)) for rng, count in streams]
+    count = sum(size for _, size in streams)
     n = graph.num_nodes
     if count == 0 or n == 0:
         return (np.zeros(count + 1, dtype=np.int64),
@@ -132,14 +149,13 @@ def _sample_packed(graph: DirectedGraph, kind: str, count: int,
             blocked_mask[node] = True
             block_values[node] = float(value)
     graph_csr = graph.in_csr()
-    visits = VisitedPairs(batch_size(n, count), n)
+    visits = VisitedPairs(batch_size(n, max(size for _, size in streams)), n)
     counts_parts: List[np.ndarray] = []
     nodes_parts: List[np.ndarray] = []
     weights = np.zeros(count, dtype=np.float64)
     all_roots = np.empty(count, dtype=np.int64)
     done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
+    for rng, chunk in _chunks(n, streams):
         chunk_roots = rng.integers(0, n, size=chunk).astype(np.int64) \
             if roots is None else roots[done:done + chunk]
         visits.start(chunk_roots)
@@ -199,8 +215,8 @@ def random_rr_sets_packed(graph: DirectedGraph, count: int,
     state.  The packed layout is what the sharded parallel builder ships
     between processes: one buffer per shard instead of one array per set.
     """
-    offsets, nodes, _, _ = _sample_packed(graph, "standard", count, rng,
-                                          roots)
+    offsets, nodes, _, _ = sample_packed(
+        graph, "standard", [(ensure_rng(rng), count)], roots)
     return offsets, nodes
 
 
@@ -220,8 +236,9 @@ def marginal_rr_sets_packed(graph: DirectedGraph, blocked: Set[int],
     :func:`marginal_rr_sets`; discarded samples appear as zero-length set
     ranges exactly where the list API returns empty arrays.
     """
-    offsets, nodes, _, _ = _sample_packed(graph, "marginal", count, rng,
-                                          roots, dict.fromkeys(blocked, 0.0))
+    offsets, nodes, _, _ = sample_packed(
+        graph, "marginal", [(ensure_rng(rng), count)], roots,
+        dict.fromkeys(blocked, 0.0))
     return offsets, nodes
 
 
@@ -252,8 +269,8 @@ def weighted_rr_sets_packed(graph: DirectedGraph,
     stream) as :func:`weighted_rr_sets`, in the transport layout of the
     sharded parallel builder.
     """
-    return _sample_packed(graph, "weighted", count, rng, roots,
-                          node_block_utility, superior_utility)
+    return sample_packed(graph, "weighted", [(ensure_rng(rng), count)],
+                         roots, node_block_utility, superior_utility)
 
 
 def weighted_rr_sets(graph: DirectedGraph,
@@ -279,6 +296,7 @@ def weighted_rr_sets(graph: DirectedGraph,
 
 __all__ = [
     "VisitedPairs",
+    "sample_packed",
     "random_rr_sets",
     "random_rr_sets_packed",
     "marginal_rr_sets",

@@ -184,8 +184,8 @@ def power_law_configuration(n: int, exponent: float, avg_degree: float,
     sources = np.repeat(np.arange(n), degrees)
     targets = rng.integers(0, n, size=len(sources))
     keep = sources != targets
-    edges = [(int(u), int(v), 1.0) for u, v in zip(sources[keep], targets[keep])]
-    return DirectedGraph.from_edges(n, edges, name=name)
+    return DirectedGraph(n, sources[keep], targets[keep],
+                         np.ones(int(keep.sum())), name=name)
 
 
 def random_dag(n: int, avg_degree: float, rng: RngLike = None,

@@ -6,28 +6,29 @@ is split into fixed-size **shards**: shard ``s`` draws its RR sets from an
 independent :class:`numpy.random.SeedSequence` child stream, and shards are
 merged in shard order.  The shard layout depends only on the requested
 counts and the root seed — never on the worker count — so building with 1
-worker or 16 yields bit-identical collections; workers only decide how many
-shards are sampled concurrently (via the warm shared-memory worker pools
-of :mod:`repro.index.pool`).  Shards travel as packed
-:class:`~repro.rrsets.coverage.PackedRRBatch` buffers and merge with one
-bulk CSR splice per call.
+worker, 16 or none yields bit-identical collections; workers only decide
+how many shards are sampled concurrently (via the warm shared-memory worker
+pools of :mod:`repro.index.pool`), and ``workers=None`` samples them in
+process.  A run of consecutive shards goes through one chunk loop that
+shares one visited buffer, in process and in each worker task alike.
+Shards travel as packed :class:`~repro.rrsets.coverage.PackedRRBatch`
+buffers and merge with one bulk CSR splice per call.
 
-:class:`ParallelRRSampler` is the callable plugged into
-:func:`~repro.rrsets.imm.run_imm_engine` (the ``workers=`` option of
-``imm``/``marginal_imm``/``supgrd``/``prima_plus``); :func:`build_index`
-is the one-stop entry point used by ``repro index build`` that runs the
-right algorithm, freezes its final RR collection and stamps the manifest
-with the instance fingerprint.
+:class:`ParallelRRSampler` is the one RR-set stream of every IMM-family
+run: :func:`~repro.rrsets.imm.rr_stream` builds it for ``imm``,
+``marginal_imm``, ``supgrd`` and ``prima_plus`` whatever their
+``workers=``; :func:`build_index` is the one-stop entry point used by
+``repro index build`` that runs the right algorithm, freezes its final RR
+collection and stamps the manifest with the instance fingerprint.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from pathlib import Path
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.index.fingerprint import index_fingerprint
 from repro.index.frozen import FrozenRRIndex, write_manifest
 from repro.index.pool import acquire_pool, discard_pool, release_pool
 from repro.obs.metrics import get_metrics
-from repro.rrsets.coverage import PackedRRBatch, RRCollection, min_id_dtype
+from repro.rrsets.coverage import PackedRRBatch, min_id_dtype
 from repro.rrsets.imm import IMMOptions
 from repro.utility.model import UtilityModel
 
@@ -50,8 +51,6 @@ SAMPLER_KINDS = ("standard", "marginal", "weighted")
 #: split across workers (task *grouping* keeps dispatch amortized — see
 #: ParallelRRSampler.generate)
 DEFAULT_SHARD_SIZE = 512
-#: environment variable overriding the shard size
-SHARD_ENV_VAR = "REPRO_INDEX_SHARD"
 
 #: transport tasks dispatched per worker per generate() call; grouping
 #: consecutive shards into ~workers×this tasks bounds pickling overhead
@@ -61,18 +60,8 @@ TASKS_PER_WORKER = 2
 
 
 def shard_size() -> int:
-    """The configured RR sets per shard (``REPRO_INDEX_SHARD`` override)."""
-    override = os.environ.get(SHARD_ENV_VAR, "").strip()
-    if not override:
-        return DEFAULT_SHARD_SIZE
-    try:
-        value = int(override)
-    except ValueError:
-        raise ValueError(
-            f"{SHARD_ENV_VAR}={override!r} is not an integer") from None
-    if value <= 0:
-        raise ValueError(f"{SHARD_ENV_VAR} must be positive")
-    return value
+    """RR sets per shard (:data:`DEFAULT_SHARD_SIZE`)."""
+    return DEFAULT_SHARD_SIZE
 
 
 @dataclass(frozen=True)
@@ -108,62 +97,60 @@ class ShardSpec:
                              for k, v in self.node_block_utility.items())))
 
 
-def _sample_shard(spec: ShardSpec, graph, seed_seq: np.random.SeedSequence,
-                  size: int) -> PackedRRBatch:
-    """Sample one shard of ``size`` RR sets from its own seed stream.
+def _sample_shards(spec: ShardSpec, graph,
+                   jobs: Sequence[Tuple[np.random.SeedSequence, int]]
+                   ) -> PackedRRBatch:
+    """Sample a run of consecutive shards, each from its own seed stream.
+
+    ``jobs`` holds ``(seed_seq, size)`` shards.  The vectorized engine
+    samples the whole run through one chunk loop that shares one visited
+    buffer; each shard is still chunked on its own, so its sets do not
+    depend on which run it is sampled in.  ``engine="python"`` is the
+    scalar oracle over the same per-shard streams.
 
     ``graph`` is passed separately from ``spec`` so worker processes can
     combine a graph-free (light) spec with their once-installed graph —
     a :class:`~repro.graphs.graph.DirectedGraph` in the parent or on the
     fork path, a :class:`~repro.index.pool.SharedGraphView` on the spawn
     path.  Output is packed (:class:`PackedRRBatch`, ids narrowed to
-    :func:`min_id_dtype`) so a shard ships as three buffers.
+    :func:`min_id_dtype`) so a run ships as three buffers.
     """
-    rng = np.random.default_rng(seed_seq)
+    streams = [(np.random.default_rng(seed_seq), size)
+               for seed_seq, size in jobs]
     id_dtype = min_id_dtype(graph.num_nodes)
-    if spec.kind == "standard":
-        if spec.engine == ENGINE_VECTORIZED:
-            from repro.engine.reverse import random_rr_sets_packed
-            offsets, nodes = random_rr_sets_packed(graph, size, rng)
-            return PackedRRBatch.from_arrays(
-                offsets, nodes, np.ones(size, dtype=np.float64),
-                num_nodes=graph.num_nodes, id_dtype=id_dtype)
-        from repro.rrsets.rrset import random_rr_set
-        return PackedRRBatch.from_pairs(
-            [(random_rr_set(graph, rng), 1.0) for _ in range(size)],
-            num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    if spec.kind == "marginal":
-        blocked: Set[int] = set(spec.blocked)
-        if spec.engine == ENGINE_VECTORIZED:
-            from repro.engine.reverse import marginal_rr_sets_packed
-            offsets, nodes = marginal_rr_sets_packed(graph, blocked, size,
-                                                     rng)
-            return PackedRRBatch.from_arrays(
-                offsets, nodes, np.ones(size, dtype=np.float64),
-                num_nodes=graph.num_nodes, id_dtype=id_dtype)
-        from repro.rrsets.rrset import marginal_rr_set
-        return PackedRRBatch.from_pairs(
-            [(marginal_rr_set(graph, blocked, rng), 1.0)
-             for _ in range(size)],
-            num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    # weighted
-    block_utility = dict(spec.node_block_utility)
+    block_utility = dict(spec.node_block_utility) \
+        if spec.kind == "weighted" else dict.fromkeys(spec.blocked, 0.0)
     if spec.engine == ENGINE_VECTORIZED:
-        from repro.engine.reverse import weighted_rr_sets_packed
-        offsets, nodes, weights, _roots = weighted_rr_sets_packed(
-            graph, block_utility, spec.superior_utility, size, rng)
+        from repro.engine.reverse import sample_packed
+
+        offsets, nodes, weights, _roots = sample_packed(
+            graph, spec.kind, streams, blocked=block_utility,
+            superior_utility=spec.superior_utility)
+        if spec.kind != "weighted":
+            weights = np.ones(len(weights), dtype=np.float64)
         return PackedRRBatch.from_arrays(
             offsets, nodes, weights,
             num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    from repro.rrsets.rrset import WeightedRRSampler
-    sampler = WeightedRRSampler.from_state(graph, block_utility,
-                                           spec.superior_utility)
-    pairs: List[Tuple[np.ndarray, float]] = []
-    for _ in range(size):
-        rr = sampler.sample(rng)
-        pairs.append((rr.nodes, rr.weight))
-    return PackedRRBatch.from_pairs(pairs, num_nodes=graph.num_nodes,
-                                    id_dtype=id_dtype)
+    from repro.rrsets.rrset import (
+        WeightedRRSampler,
+        marginal_rr_set,
+        random_rr_set,
+    )
+
+    weighted = WeightedRRSampler.from_state(graph, block_utility,
+                                            spec.superior_utility)
+
+    def draw(rng: np.random.Generator) -> Tuple[np.ndarray, float]:
+        if spec.kind == "standard":
+            return random_rr_set(graph, rng), 1.0
+        if spec.kind == "marginal":
+            return marginal_rr_set(graph, spec.blocked, rng), 1.0
+        rr = weighted.sample(rng)
+        return rr.nodes, rr.weight
+
+    return PackedRRBatch.from_pairs(
+        [draw(rng) for rng, size in streams for _ in range(size)],
+        num_nodes=graph.num_nodes, id_dtype=id_dtype)
 
 
 class ParallelRRSampler:
@@ -190,14 +177,15 @@ class ParallelRRSampler:
     in-process sampling with identical results.
     """
 
-    def __init__(self, spec: ShardSpec, seed, workers: int = 1,
+    def __init__(self, spec: ShardSpec, seed,
+                 workers: Optional[int] = 1,
                  shard_sets: Optional[int] = None,
                  start_method: Optional[str] = None) -> None:
         self._spec = spec
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(int(seed)))
-        self._workers = max(1, int(workers))
-        self._shard_sets = int(shard_sets or shard_size())
+        self._workers = max(1, int(workers or 1))
+        self._shard_sets = int(shard_sets or DEFAULT_SHARD_SIZE)
         self._start_method = start_method
         self._light_spec = replace(spec, graph=None) \
             if self._workers > 1 else spec
@@ -259,7 +247,7 @@ class ParallelRRSampler:
         if count % self._shard_sets:
             sizes.append(count % self._shard_sets)
         jobs = list(zip(self._seed_seq.spawn(len(sizes)), sizes))
-        batches = None
+        batch = None
         if self._workers > 1 and len(jobs) > 1 and not self._pool_broken:
             pool = self._ensure_pool()
             if pool is not None:
@@ -270,15 +258,11 @@ class ParallelRRSampler:
                          for g in range(groups)
                          if bounds[g] < bounds[g + 1]]
                 try:
-                    batches = pool.map_tasks(tasks)
+                    batch = PackedRRBatch.concat(pool.map_tasks(tasks))
                 except Exception as error:
                     self._abandon_pool(error)
-                    batches = None
-        if batches is None:
-            batches = [_sample_shard(self._spec, self._spec.graph,
-                                     seed_seq, size)
-                       for seed_seq, size in jobs]
-        batch = PackedRRBatch.concat(batches)
+        if batch is None:
+            batch = _sample_shards(self._spec, self._spec.graph, jobs)
         metrics = get_metrics()
         if metrics.enabled:
             elapsed = time.perf_counter() - started
@@ -344,11 +328,10 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
     ``repro index query`` to verify and serve it.
 
     The build uses exactly the code path of a direct ``repro run`` with the
-    same ``workers`` and ``seed``, so querying the returned index
-    reproduces that run's allocation bit for bit.  ``workers=None`` (the
-    default, like ``repro run``) samples on the legacy serial stream; any
-    integer switches to the sharded deterministic builder, whose results
-    are identical for every worker count.
+    same ``seed``, so querying the returned index reproduces that run's
+    allocation bit for bit.  ``workers`` only sets how many processes
+    sample the shards: ``None`` (the default, like ``repro run``) samples
+    them in process, and every worker count builds the same index.
     """
     if sampler not in SAMPLER_KINDS:
         raise AlgorithmError(
@@ -368,10 +351,6 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
         "budgets": dict(sorted(budgets.items())),
         "fixed": {item: list(fixed_allocation.seeds_for(item))
                   for item in sorted(fixed_allocation.items)},
-        # sharded and serial sampling draw different (both valid) RR-set
-        # streams from the same seed; the worker *count* is deliberately
-        # not hashed because shards make contents count-invariant
-        "sharded": workers is not None,
     }
     meta: Dict[str, Any] = {
         "sampler": sampler,
@@ -447,7 +426,8 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                     superior_utility=run.details.get(
                         "superior_truncated_utility"),
                     estimated_value=run.details.get(
-                        "estimated_marginal_welfare"))
+                        "estimated_marginal_welfare"),
+                    cap_hit=run.details.get("cap_hit", False))
     if collection is None:
         raise IndexStoreError(
             f"the {meta['algorithm']} build returned no RR collection "
@@ -484,12 +464,12 @@ def build_streaming_index(graph: DirectedGraph,
     Completed RR-set chunks are spilled straight into the v2 on-disk
     layout by a :class:`~repro.index.stream.StreamingIndexWriter` instead
     of accumulating in one growable collection, so member-proportional
-    memory never exceeds one chunk.  Sampling always goes through the
-    deterministic sharded :class:`ParallelRRSampler`, and chunk sizes are
-    rounded up to a multiple of the shard size — the SeedSequence shard
-    layout, and therefore every sampled set, is bit-identical to a
-    one-shot ``build_index(..., workers=...)`` build at the same seed for
-    any worker count.
+    memory never exceeds one chunk.  Sampling goes through the same
+    :func:`~repro.rrsets.imm.rr_stream` as every IMM run, and chunk sizes
+    are rounded up to a multiple of the shard size — the SeedSequence
+    shard layout, and therefore every sampled set, is bit-identical to a
+    one-shot ``build_index`` build at the same seed for any worker
+    count.
 
     Two modes:
 
@@ -508,9 +488,8 @@ def build_streaming_index(graph: DirectedGraph,
     :class:`FrozenRRIndex`; the files are already at ``out``.
     """
     from repro.index.stream import StreamingIndexWriter
-    from repro.rrsets.imm import run_imm_engine
-    from repro.rrsets.rrset import random_rr_set
-    from repro.utils.rng import derive_seed, ensure_rng
+    from repro.rrsets.imm import rr_stream, run_imm_engine
+    from repro.utils.rng import ensure_rng
 
     options = options or IMMOptions()
     engine_name = resolve_engine(engine)
@@ -535,7 +514,6 @@ def build_streaming_index(graph: DirectedGraph,
         "budgets": dict(sorted(budgets.items())),
         "fixed": {item: list(fixed_allocation.seeds_for(item))
                   for item in sorted(fixed_allocation.items)},
-        "sharded": True,
         "k": k,
     }
     if rr_sets is not None:
@@ -560,13 +538,11 @@ def build_streaming_index(graph: DirectedGraph,
     if meta_extra:
         meta.update(meta_extra)
 
-    rng = ensure_rng(seed)
-    spec = ShardSpec(kind="standard", graph=graph, engine=engine_name)
     writer_kwargs: Dict[str, Any] = {}
     if chunk_members is not None:
         writer_kwargs["chunk_members"] = int(chunk_members)
-    with ParallelRRSampler(spec, seed=derive_seed(rng),
-                           workers=workers) as parallel_sampler, \
+    with rr_stream(graph, "standard", ensure_rng(seed), engine_name,
+                   workers) as sample, \
             StreamingIndexWriter(out, graph.num_nodes,
                                  **writer_kwargs) as writer:
         if rr_sets is not None:
@@ -574,17 +550,13 @@ def build_streaming_index(graph: DirectedGraph,
             cap_hit = False
             while remaining > 0:
                 step = min(chunk, remaining)
-                writer.append(parallel_sampler(step))
+                writer.append(sample(step))
                 remaining -= step
             lower_bound = None
         else:
-            def sampler(generator: np.random.Generator):
-                return random_rr_set(graph, generator), 1.0
-
             result = run_imm_engine(
-                graph.num_nodes, k, sampler,
-                max_value=float(graph.num_nodes), options=options, rng=rng,
-                parallel_sampler=parallel_sampler,
+                graph.num_nodes, k, sample,
+                max_value=float(graph.num_nodes), options=options,
                 final_sink=writer, final_chunk_sets=chunk)
             cap_hit = result.cap_hit
             lower_bound = result.lower_bound
@@ -632,7 +604,6 @@ def expected_index_fingerprint(graph: DirectedGraph,
 __all__ = [
     "SAMPLER_KINDS",
     "DEFAULT_SHARD_SIZE",
-    "SHARD_ENV_VAR",
     "TASKS_PER_WORKER",
     "shard_size",
     "ShardSpec",

@@ -24,7 +24,9 @@ from repro.utility.model import UtilityModel
 #: bump when the hashed byte layout changes, or when the same build
 #: parameters come to sample different RR-set contents (invalidates older
 #: manifests).  Version 2: serial PRIMA+ draws batched marginal sets.
-FINGERPRINT_VERSION = 2
+#: Version 3: every build samples the SeedSequence shards, so the
+#: ``sharded`` extra is gone and a serial-stream index is stale.
+FINGERPRINT_VERSION = 3
 
 
 def _update_array(digest, array: np.ndarray) -> None:

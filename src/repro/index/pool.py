@@ -21,7 +21,7 @@ per-call path:
   buffers.  Either way the graph never rides along with a task.
 * **result transport** — tasks return
   :class:`~repro.rrsets.coverage.PackedRRBatch` buffers (see
-  :func:`repro.index.builder._sample_shard`): one pickle per task, not
+  :func:`repro.index.builder._sample_shards`): one pickle per task, not
   one per RR set.
 
 A worker process dying mid-map surfaces as
@@ -211,20 +211,17 @@ def _run_shard_task(task):
 
     ``task`` is ``(spec, jobs)`` where ``spec`` is a graph-free
     :class:`~repro.index.builder.ShardSpec` and ``jobs`` a sequence of
-    ``(seed_sequence, size)`` shards.  Returns one packed batch per task
-    (shards concatenated in order) so transport cost scales with task
-    count, not shard count.
+    ``(seed_sequence, size)`` shards, sampled through one chunk loop.
+    Returns one packed batch per task (shards in order) so transport cost
+    scales with task count, not shard count.
     """
-    from repro.index.builder import _sample_shard
-    from repro.rrsets.coverage import PackedRRBatch
+    from repro.index.builder import _sample_shards
 
     spec, jobs = task
     graph = _WORKER_GRAPH if getattr(spec, "graph", None) is None \
         else spec.graph
     assert graph is not None, "worker pool was not initialized"
-    batches = [_sample_shard(spec, graph, seed_seq, size)
-               for seed_seq, size in jobs]
-    return batches[0] if len(batches) == 1 else PackedRRBatch.concat(batches)
+    return _sample_shards(spec, graph, jobs)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ The paper reuses exactly this skeleton three times:
 * SupGRD on *weighted* RR sets (welfare units instead of spread units).
 
 :func:`run_imm_engine` implements the shared skeleton generically over a
-sampler callback; :func:`imm` is the classic single-item instantiation.
+sampler callback, and :func:`rr_stream` is the one RR-set stream all
+three draw from; :func:`imm` is the classic single-item instantiation.
 The engine regenerates a fresh RR collection for the final node selection,
 following the fix of Chen (arXiv:1808.09363) cited by the paper.
 """
@@ -25,30 +26,17 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
+from repro.engine.config import resolve_engine
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
-from repro.rrsets.coverage import (
-    PackedRRBatch,
-    RRCollection,
-    SelectionResult,
-    node_selection,
-)
-from repro.rrsets.rrset import marginal_rr_set, random_rr_set
+from repro.rrsets.coverage import RRCollection, node_selection
 from repro.utils.rng import RngLike, derive_seed, ensure_rng
 
-#: A sampler returns one RR set as ``(nodes, weight)``.
-Sampler = Callable[[np.random.Generator], Tuple[np.ndarray, float]]
-
-#: A batch sampler returns ``count`` RR sets as ``(nodes, weight)`` pairs
+#: A sampler returns ``count`` fresh RR sets, as ``(nodes, weight)`` pairs
 #: or as one :class:`~repro.rrsets.coverage.PackedRRBatch`, which
-#: collections splice in bulk.
-BatchSampler = Callable[[np.random.Generator, int],
-                        Sequence[Tuple[np.ndarray, float]]]
-
-#: A parallel sampler returns ``count`` fresh RR sets; it owns its own
-#: deterministic seeding (see :class:`repro.index.builder.ParallelRRSampler`).
+#: collections splice in bulk; it owns its own deterministic seeding (see
+#: :func:`rr_stream`).
 ParallelSampler = Callable[[int], Sequence[Tuple[np.ndarray, float]]]
 
 
@@ -106,13 +94,10 @@ class IMMResult:
         return self.prefix_values[min(k, len(self.prefix_values)) - 1]
 
 
-def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
+def run_imm_engine(num_nodes: int, k: int, sample: ParallelSampler,
                    max_value: float,
                    options: Optional[IMMOptions] = None,
                    num_budgets: int = 1,
-                   rng: RngLike = None,
-                   batch_sampler: Optional[BatchSampler] = None,
-                   parallel_sampler: Optional[ParallelSampler] = None,
                    keep_collection: bool = False,
                    final_sink=None,
                    final_chunk_sets: int = 65_536) -> IMMResult:
@@ -124,8 +109,12 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         Number of nodes ``n`` of the underlying graph.
     k:
         Number of seeds to select (the budget).
-    sampler:
-        Callable producing one RR set ``(nodes, weight)`` per call.
+    sample:
+        Callable producing ``count`` fresh RR sets per call with its own
+        deterministic seeding (the :func:`rr_stream` sampler).  May return
+        a sequence of ``(nodes, weight)`` pairs or a packed
+        :class:`~repro.rrsets.coverage.PackedRRBatch` — collections and
+        streaming sinks splice packed batches without a per-pair loop.
     max_value:
         Upper bound on the optimum in the objective's units (``n`` for
         spread, ``n · u_max`` for welfare) — the binary search for the lower
@@ -135,17 +124,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     num_budgets:
         Number of budgets sharing the confidence budget (PRIMA+ passes the
         length of its budget vector so the union bound still holds).
-    batch_sampler:
-        Optional callable producing ``count`` RR sets per call; when given,
-        the sampling phases request whole batches from it (the vectorized
-        engine) instead of calling ``sampler`` once per set.
-    parallel_sampler:
-        Optional callable producing ``count`` fresh RR sets with its own
-        deterministic seeding (the sharded multiprocessing builder); takes
-        precedence over ``batch_sampler`` and ``sampler``.  May return a
-        sequence of ``(nodes, weight)`` pairs or a packed
-        :class:`~repro.rrsets.coverage.PackedRRBatch` — collections and
-        streaming sinks splice packed batches without a per-pair loop.
     keep_collection:
         When true, the final RR collection is returned on
         ``IMMResult.collection`` so callers can freeze it into a persistent
@@ -154,20 +132,19 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         Optional streaming sink (an object with ``append(pairs)``, e.g.
         :class:`repro.index.stream.StreamingIndexWriter`) receiving the
         final sampling phase in bounded chunks instead of an in-RAM
-        collection.  Requires ``parallel_sampler`` (the sharded sampler's
-        SeedSequence layout is what keeps chunked generation bit-identical
-        to one-shot generation) and ``fresh_final_sampling``.  The engine
-        then performs **no final node selection** — the returned result
-        carries empty ``seeds`` and the θ bookkeeping; the caller runs
-        selection over the finalized index, which is bit-identical by the
-        packed-coverage protocol.
+        collection.  Requires ``fresh_final_sampling``; the sharded
+        sampler's SeedSequence layout is what keeps chunked generation
+        bit-identical to one-shot generation.  The engine then performs
+        **no final node selection** — the returned result carries empty
+        ``seeds`` and the θ bookkeeping; the caller runs selection over
+        the finalized index, which is bit-identical by the packed-coverage
+        protocol.
     final_chunk_sets:
         RR sets per streamed chunk; rounded up to a multiple of the
         sampler's shard size by callers so chunk boundaries never change
         the shard layout.
     """
     options = options or IMMOptions()
-    rng = ensure_rng(rng)
     if num_nodes <= 0:
         raise AlgorithmError("the graph must contain at least one node")
     k = max(0, min(int(k), num_nodes))
@@ -191,19 +168,9 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         requested = int(math.ceil(target))
         if requested > options.max_rr_sets:
             cap_hit = True
-        target = min(requested, options.max_rr_sets)
-        if parallel_sampler is not None:
-            missing = target - into.num_sets
-            if missing > 0:
-                into.extend(parallel_sampler(missing))
-            return
-        if batch_sampler is not None:
-            while into.num_sets < target:
-                into.extend(batch_sampler(rng, target - into.num_sets))
-            return
-        while into.num_sets < target:
-            nodes, weight = sampler(rng)
-            into.add(nodes, weight)
+        missing = min(requested, options.max_rr_sets) - into.num_sets
+        if missing > 0:
+            into.extend(sample(missing))
 
     # --- sampling phase: search for a lower bound on OPT ----------------
     lower_bound = 1.0
@@ -234,10 +201,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     theta = min(theta, options.max_rr_sets)
     theta = max(theta, options.min_rr_sets)
     if final_sink is not None:
-        if parallel_sampler is None:
-            raise AlgorithmError(
-                "streaming final sampling requires the sharded parallel "
-                "sampler (pass workers=)")
         if not options.fresh_final_sampling:
             raise AlgorithmError(
                 "streaming final sampling requires fresh_final_sampling")
@@ -247,7 +210,7 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         remaining = target
         while remaining > 0:
             step = min(chunk_sets, remaining)
-            final_sink.append(parallel_sampler(step))
+            final_sink.append(sample(step))
             remaining -= step
         if cap_hit:
             warnings.warn(
@@ -294,29 +257,15 @@ def imm(graph: DirectedGraph, k: int,
         keep_collection: bool = False) -> IMMResult:
     """Classic single-item IMM: ``(1 - 1/e - ε)``-approximate IM seeds.
 
-    ``workers`` switches sampling to the deterministic sharded builder
-    (``workers`` processes; results are identical for every worker count at
-    a fixed seed, but differ from the ``workers=None`` serial stream).
+    RR sets come from :func:`rr_stream`: ``workers`` processes sample the
+    SeedSequence shards (``None``: in process), and the results are
+    identical for every worker count at a fixed seed.
     """
-    def sampler(generator: np.random.Generator) -> Tuple[np.ndarray, float]:
-        return random_rr_set(graph, generator), 1.0
-
-    batch_sampler: Optional[BatchSampler] = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import random_rr_sets_packed
-
-        def batch_sampler(generator: np.random.Generator, count: int):
-            offsets, nodes = random_rr_sets_packed(graph, count, generator)
-            return PackedRRBatch(offsets, nodes, np.ones(count))
-
     rng = ensure_rng(rng)
-    with _parallel_sampler(graph, "standard", engine, rng,
-                           workers) as parallel_sampler:
-        return run_imm_engine(graph.num_nodes, k, sampler,
+    with rr_stream(graph, "standard", rng, engine, workers) as sample:
+        return run_imm_engine(graph.num_nodes, k, sample,
                               max_value=float(graph.num_nodes),
-                              options=options, rng=rng,
-                              batch_sampler=batch_sampler,
-                              parallel_sampler=parallel_sampler,
+                              options=options,
                               keep_collection=keep_collection)
 
 
@@ -327,50 +276,37 @@ def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
                  workers: Optional[int] = None,
                  keep_collection: bool = False) -> IMMResult:
     """IMM on *marginal* RR sets: maximizes spread on top of ``fixed_seeds``."""
-    blocked = set(int(v) for v in fixed_seeds)
-
-    def sampler(generator: np.random.Generator) -> Tuple[np.ndarray, float]:
-        return marginal_rr_set(graph, blocked, generator), 1.0
-
-    batch_sampler: Optional[BatchSampler] = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import marginal_rr_sets_packed
-
-        def batch_sampler(generator: np.random.Generator, count: int):
-            offsets, nodes = marginal_rr_sets_packed(graph, blocked, count,
-                                                     generator)
-            return PackedRRBatch(offsets, nodes, np.ones(count))
-
     rng = ensure_rng(rng)
-    with _parallel_sampler(graph, "marginal", engine, rng, workers,
-                           blocked=blocked) as parallel_sampler:
-        return run_imm_engine(graph.num_nodes, k, sampler,
+    with rr_stream(graph, "marginal", rng, engine, workers,
+                   blocked=fixed_seeds) as sample:
+        return run_imm_engine(graph.num_nodes, k, sample,
                               max_value=float(graph.num_nodes),
-                              options=options, rng=rng,
-                              batch_sampler=batch_sampler,
-                              parallel_sampler=parallel_sampler,
+                              options=options,
                               keep_collection=keep_collection)
 
 
-def _parallel_sampler(graph: DirectedGraph, kind: str, engine: Optional[str],
-                      rng: np.random.Generator, workers: Optional[int],
-                      **spec_kwargs):
-    """Context manager yielding a sharded parallel sampler (or ``None``).
+def rr_stream(graph: DirectedGraph, kind: str, rng: np.random.Generator,
+              engine: Optional[str] = None, workers: Optional[int] = None,
+              **spec_kwargs):
+    """The RR-set stream every IMM-family run draws from.
 
-    Imports the index builder lazily so :mod:`repro.rrsets` does not depend
-    on :mod:`repro.index` at import time.  Draws one seed from ``rng`` when
-    the parallel path is taken, so the derived shard streams are
-    reproducible from the caller's seed.
+    Returns a :class:`~repro.index.builder.ParallelRRSampler` over the
+    SeedSequence shard layout, seeded with one draw from ``rng``, for
+    ``kind`` sets (``spec_kwargs`` complete its
+    :class:`~repro.index.builder.ShardSpec`).  ``workers`` processes
+    sample it; ``None`` samples the same shards in process.  Use it as a
+    context manager, so a worker pool reference is released even when
+    the run raises.
+
+    Imports the index builder lazily so :mod:`repro.rrsets` does not
+    depend on :mod:`repro.index` at import time.
     """
-    if workers is None:
-        import contextlib
-        return contextlib.nullcontext(None)
     from repro.index.builder import ParallelRRSampler, ShardSpec
 
-    spec = ShardSpec(kind=kind, graph=graph,
-                     engine=resolve_engine(engine), **spec_kwargs)
+    spec = ShardSpec(kind=kind, graph=graph, engine=resolve_engine(engine),
+                     **spec_kwargs)
     return ParallelRRSampler(spec, seed=derive_seed(rng), workers=workers)
 
 
 __all__ = ["IMMOptions", "IMMResult", "run_imm_engine", "imm", "marginal_imm",
-           "Sampler", "BatchSampler", "ParallelSampler"]
+           "rr_stream", "ParallelSampler"]

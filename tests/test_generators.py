@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs import generators
+from repro.graphs.graph import DirectedGraph
 
 
 class TestDeterministicGraphs:
@@ -116,6 +117,26 @@ class TestRandomGraphs:
         assert g.num_nodes == 300
         assert g.num_edges > 0
         assert g.out_degrees().max() > g.out_degrees().mean() * 2
+
+    def test_power_law_configuration_equals_edge_list_build(self):
+        """The graph built from the edge arrays is the one the per-edge
+        ``(u, v, 1.0)`` list builds: same draws, same deduplicated edges."""
+        n, exponent, avg_degree = 200, 2.3, 5.0
+        graph = generators.power_law_configuration(n, exponent, avg_degree,
+                                                   rng=4)
+        rng = np.random.default_rng(4)
+        raw = rng.pareto(exponent - 1.0, size=n) + 1.0
+        degrees = np.maximum(
+            1, np.round(raw * avg_degree / raw.mean())).astype(int)
+        sources = np.repeat(np.arange(n), degrees)
+        targets = rng.integers(0, n, size=len(sources))
+        reference = DirectedGraph.from_edges(
+            n, [(int(u), int(v), 1.0) for u, v in zip(sources, targets)
+                if u != v])
+        assert graph.num_edges == reference.num_edges
+        for got, want in zip(graph.edge_arrays(), reference.edge_arrays()):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_random_dag_is_acyclic_by_construction(self):
         g = generators.random_dag(50, avg_degree=3.0, rng=6)

@@ -168,10 +168,12 @@ class TestFingerprints:
             graph, model, **dict(base, extra={"k": 4})) != reference
         assert index_fingerprint(graph, None, **base) != reference
 
-    def test_version_1_index_fails_verification(self, tmp_path,
-                                                monkeypatch):
-        """Version 2 changed what a serial marginal build samples, so an
-        index fingerprinted under version 1 is rejected as stale."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_index_fails_verification(self, tmp_path,
+                                                    monkeypatch, version):
+        """Version 2 changed what a serial marginal build samples, and
+        version 3 made every build sample the shard stream, so an index
+        fingerprinted under an older version is rejected as stale."""
         from repro.graphs.datasets import load_network
         from repro.index import fingerprint
         from repro.serve import load_service
@@ -186,60 +188,103 @@ class TestFingerprints:
                                     "graph_seed": 4}).save(path)
 
         with monkeypatch.context() as patch:
-            patch.setattr(fingerprint, "FINGERPRINT_VERSION", 1)
-            build(tmp_path / "v1")
+            patch.setattr(fingerprint, "FINGERPRINT_VERSION", version)
+            build(tmp_path / "old")
         with pytest.raises(IndexStoreError, match="stale index"):
-            load_service(tmp_path / "v1")
+            load_service(tmp_path / "old")
         build(tmp_path / "current")
         assert load_service(tmp_path / "current").service is not None
 
 
+#: ``None`` samples the shard stream in process; integers use worker pools
+WORKER_COUNTS = (None, 1, 4)
+
+
+def assert_same_collections(collections):
+    first = collections[0]._packed()
+    for collection in collections[1:]:
+        for got, want in zip(collection._packed(), first):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestParallelDeterminism:
+    """Every ``workers`` value, ``None`` included, samples one stream."""
+
     def test_sharded_sampler_worker_count_invariant(self, graph):
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=42, workers=1,
-                               shard_sets=64) as one:
-            serial = one.generate(300)
-        with ParallelRRSampler(spec, seed=42, workers=4,
-                               shard_sets=64) as four:
-            parallel = four.generate(300)
-        assert len(serial) == len(parallel) == 300
-        for (nodes_a, w_a), (nodes_b, w_b) in zip(serial, parallel):
-            np.testing.assert_array_equal(nodes_a, nodes_b)
-            assert w_a == w_b
+        batches = []
+        for workers in WORKER_COUNTS:
+            with ParallelRRSampler(spec, seed=42, workers=workers,
+                                   shard_sets=64) as sampler:
+                batches.append(sampler.generate(300))
+        for batch in batches:
+            assert len(batch) == 300
+            for (nodes_a, w_a), (nodes_b, w_b) in zip(batches[0], batch):
+                np.testing.assert_array_equal(nodes_a, nodes_b)
+                assert w_a == w_b
 
     def test_imm_workers_1_vs_4_identical_selection(self, graph):
-        one = imm(graph, 4, options=OPTIONS, rng=9, workers=1)
-        four = imm(graph, 4, options=OPTIONS, rng=9, workers=4)
-        assert one.seeds == four.seeds
-        assert one.num_rr_sets == four.num_rr_sets
-        assert one.estimated_value == four.estimated_value
+        runs = [imm(graph, 4, options=OPTIONS, rng=9, workers=workers,
+                    keep_collection=True) for workers in WORKER_COUNTS]
+        for run in runs[1:]:
+            assert run.seeds == runs[0].seeds
+            assert run.num_rr_sets == runs[0].num_rr_sets
+            assert run.estimated_value == runs[0].estimated_value
+        assert_same_collections([run.collection for run in runs])
 
     def test_marginal_imm_workers_identical(self, graph):
         fixed = {0, 1, 2}
-        one = marginal_imm(graph, 3, fixed, options=OPTIONS, rng=9,
-                           workers=1)
-        four = marginal_imm(graph, 3, fixed, options=OPTIONS, rng=9,
-                            workers=4)
-        assert one.seeds == four.seeds
+        runs = [marginal_imm(graph, 3, fixed, options=OPTIONS, rng=9,
+                             workers=workers, keep_collection=True)
+                for workers in WORKER_COUNTS]
+        for run in runs[1:]:
+            assert run.seeds == runs[0].seeds
+        assert_same_collections([run.collection for run in runs])
 
-    def test_build_index_workers_identical_contents(self, graph, model):
-        kwargs = dict(sampler="marginal", budgets={"i": 3, "j": 2},
-                      options=OPTIONS, seed=17)
-        one = build_index(graph, model, workers=1, **kwargs)
-        four = build_index(graph, model, workers=4, **kwargs)
-        np.testing.assert_array_equal(one._offsets, four._offsets)
-        np.testing.assert_array_equal(one._nodes, four._nodes)
-        np.testing.assert_array_equal(one._weights, four._weights)
-        assert one.fingerprint == four.fingerprint
+    def test_seqgrd_nm_workers_identical(self, graph, model):
+        runs = [seqgrd_nm(graph, model, {"i": 3, "j": 2}, options=OPTIONS,
+                          rng=11, workers=workers, keep_rr_collection=True)
+                for workers in WORKER_COUNTS]
+        for run in runs[1:]:
+            assert run.allocation.as_dict() == runs[0].allocation.as_dict()
+            assert run.details["num_rr_sets"] == \
+                runs[0].details["num_rr_sets"]
+        assert_same_collections([run.details["rr_collection"]
+                                 for run in runs])
+
+    def test_build_index_workers_identical_contents(self, graph, model,
+                                                    bounded_model):
+        builds = {
+            "standard": (model, dict(budgets={"i": 3})),
+            "marginal": (model, dict(budgets={"i": 3, "j": 2})),
+            "weighted": (bounded_model, dict(
+                budgets={"i": 3}, superior_item="i",
+                fixed_allocation=Allocation({"j": [0, 1]}))),
+        }
+        for sampler, (instance_model, kwargs) in builds.items():
+            indexes = [build_index(graph, instance_model, sampler=sampler,
+                                   options=OPTIONS, seed=17,
+                                   workers=workers, **kwargs)
+                       for workers in WORKER_COUNTS]
+            for index in indexes[1:]:
+                np.testing.assert_array_equal(index._offsets,
+                                              indexes[0]._offsets)
+                np.testing.assert_array_equal(index._nodes,
+                                              indexes[0]._nodes)
+                np.testing.assert_array_equal(index._weights,
+                                              indexes[0]._weights)
+                assert index.fingerprint == indexes[0].fingerprint
 
     def test_supgrd_workers_identical(self, graph, bounded_model):
         fixed = Allocation({"j": [0, 1]})
         kwargs = dict(superior_item="i", enforce_preconditions=False,
-                      options=OPTIONS, rng=23)
-        one = supgrd(graph, bounded_model, 3, fixed, workers=1, **kwargs)
-        four = supgrd(graph, bounded_model, 3, fixed, workers=4, **kwargs)
-        assert one.allocation.as_dict() == four.allocation.as_dict()
+                      options=OPTIONS, rng=23, keep_rr_collection=True)
+        runs = [supgrd(graph, bounded_model, 3, fixed, workers=workers,
+                       **kwargs) for workers in WORKER_COUNTS]
+        for run in runs[1:]:
+            assert run.allocation.as_dict() == runs[0].allocation.as_dict()
+        assert_same_collections([run.details["rr_collection"]
+                                 for run in runs])
 
 
 class TestBuildAndServe:
@@ -422,7 +467,8 @@ class TestCapHitMetadata:
             result = imm(two_node_graph, 1, options=options, rng=1)
         assert result.cap_hit is False
 
-    def test_marginal_build_records_cap_hit(self, graph, model):
+    def test_marginal_build_records_cap_hit(self, graph, model,
+                                            bounded_model):
         tiny = IMMOptions(max_rr_sets=300, min_rr_sets=16)
         index = build_index(graph, model, sampler="marginal",
                             budgets={"i": 2, "j": 2}, options=tiny, seed=5)
@@ -431,6 +477,26 @@ class TestCapHitMetadata:
         served = seqgrd_nm(graph, model, {"i": 2, "j": 2}, index=index,
                            rng=0)
         assert served.details["cap_hit"] is True
+        # the weighted sampler records it too, and SupGRD reports it
+        fixed = Allocation({"j": [0, 1]})
+        with pytest.warns(RuntimeWarning, match="max_rr_sets"):
+            weighted = build_index(graph, bounded_model, sampler="weighted",
+                                   budgets={"i": 2}, superior_item="i",
+                                   fixed_allocation=fixed, options=tiny,
+                                   seed=5)
+        assert weighted.meta["cap_hit"] is True
+        served = supgrd(graph, bounded_model, 2, fixed, superior_item="i",
+                        enforce_preconditions=False, index=weighted, rng=0)
+        assert served.details["cap_hit"] is True
+        ample = build_index(graph, bounded_model, sampler="weighted",
+                            budgets={"i": 2}, superior_item="i",
+                            fixed_allocation=fixed, seed=5,
+                            options=IMMOptions(max_rr_sets=500_000,
+                                               min_rr_sets=16))
+        assert ample.meta["cap_hit"] is False
+        served = supgrd(graph, bounded_model, 2, fixed, superior_item="i",
+                        enforce_preconditions=False, index=ample, rng=0)
+        assert served.details["cap_hit"] is False
 
 
 class TestRRCollectionExtend:

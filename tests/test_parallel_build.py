@@ -24,7 +24,7 @@ from repro.index.builder import (
     DEFAULT_SHARD_SIZE,
     ParallelRRSampler,
     ShardSpec,
-    _sample_shard,
+    _sample_shards,
 )
 from repro.index.pool import SHM_PREFIX
 from repro.index.stream import StreamingIndexWriter
@@ -324,7 +324,7 @@ class TestSampleShard:
         seq = np.random.SeedSequence(41)
         for kind in ("standard", "marginal"):
             spec = ShardSpec(kind=kind, graph=graph, engine="python")
-            batch = _sample_shard(spec, graph, seq, 16)
+            batch = _sample_shards(spec, graph, [(seq, 16)])
             assert isinstance(batch, PackedRRBatch)
             assert len(batch) == 16
             assert np.all(batch.weights == 1.0)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.diffusion.estimators import estimate_marginal_spread, estimate_spread
-from repro.engine.reverse import marginal_rr_sets_packed
 from repro.exceptions import AlgorithmError
 from repro.core.prima import prima_plus
 from repro.graphs import generators, weighting
 from repro.graphs.graph import DirectedGraph
-from repro.rrsets.coverage import PackedRRBatch, RRCollection
+from repro.index.builder import ParallelRRSampler, ShardSpec
+from repro.rrsets.coverage import RRCollection
 from repro.rrsets.imm import IMMOptions, imm
-from repro.rrsets.rrset import marginal_rr_set
+from repro.utils.rng import derive_seed
 
 FAST = IMMOptions(max_rr_sets=8_000)
 
@@ -102,7 +102,8 @@ class TestPrimaPlus:
 
 
 class TestPrimaEngine:
-    """PRIMA+ draws its serial marginal RR sets through its ``engine``."""
+    """PRIMA+ draws its marginal RR sets from the shard stream of its
+    ``engine``, seeded with one draw from its ``rng``."""
 
     #: every round's target exceeds the cap and the final phase reuses the
     #: capped collection, so one sampling request fills it
@@ -110,16 +111,12 @@ class TestPrimaEngine:
     FIXED = [0, 1, 2]
 
     def expected(self, graph, engine):
-        rng = np.random.default_rng(5)
-        blocked = set(self.FIXED)
+        spec = ShardSpec(kind="marginal", graph=graph, engine=engine,
+                         blocked=self.FIXED)
+        seed = derive_seed(np.random.default_rng(5))
         collection = RRCollection(graph.num_nodes)
-        if engine == "python":
-            for _ in range(100):
-                collection.add(marginal_rr_set(graph, blocked, rng))
-        else:
-            offsets, nodes = marginal_rr_sets_packed(graph, blocked, 100,
-                                                     rng)
-            collection.extend(PackedRRBatch(offsets, nodes, np.ones(100)))
+        with ParallelRRSampler(spec, seed=seed) as sampler:
+            collection.extend(sampler.generate(100))
         return collection
 
     @pytest.mark.parametrize("engine", ["python", "vectorized"])

@@ -71,6 +71,7 @@ def build_matching_index(graph, model, spec: RunSpec):
         budgets=dict(spec.workload.budgets),
         superior_item=spec.workload.superior_item,
         options=spec.engine.imm_options(), seed=spec.engine.seed,
+        workers=spec.engine.workers,
         meta_extra={"network": NETWORK, "scale": SCALE,
                     "configuration": CONFIGURATION,
                     "graph_seed": spec.engine.seed,
@@ -165,6 +166,29 @@ class TestServeMatchesRun:
         direct = {item: list(nodes) for item, nodes
                   in record.result.allocation.as_dict().items()}
         assert list(direct) == ["i"]
+        assert response["allocation"] == direct
+
+    @pytest.mark.parametrize("built_with, asked_with", [(2, None), (None, 2)])
+    def test_worker_count_does_not_split_indexes(self, instances, tmp_path,
+                                                 built_with, asked_with):
+        """A spec is answered from an index built with another worker
+        count (``None`` included): every count samples one stream."""
+        graphs, model = instances
+        spec = generate_specs(seed=2020, count=1)[0]
+        graph = graphs[spec.engine.seed]
+
+        def with_workers(workers):
+            return dataclasses.replace(spec, engine=dataclasses.replace(
+                spec.engine, workers=workers))
+
+        asked = with_workers(asked_with)
+        response = serve_from_saved_index(
+            build_matching_index(graph, model, with_workers(built_with)),
+            tmp_path / "workers", make_request(asked))
+        assert response["ok"] is True, response
+        record = run_spec(asked, graph=graph, model=model)
+        direct = {item: list(nodes) for item, nodes
+                  in record.result.allocation.as_dict().items()}
         assert response["allocation"] == direct
 
     def test_fresh_service_reserves_identically(self, instances, tmp_path,
