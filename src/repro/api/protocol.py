@@ -358,14 +358,14 @@ def execute_prepared_batch(service, batch: Sequence[PreparedRequest]
                            ) -> List[Union[Dict[str, Any], ReproError]]:
     """Execute prepared requests against one service in one pass.
 
-    Must run on the service's execution thread (its query LRU and greedy
-    order are not thread-safe).  The requests share that LRU and the
-    incrementally-extended greedy order.  Failures are isolated per
-    request: a degenerate query yields its :class:`ReproError` in its
-    result slot instead of poisoning the batch, and a request whose
-    deadline expired while queued yields :class:`DeadlineExceeded` —
-    checked here, at execution start on the worker thread, so expired
-    requests never cost selection time.
+    Must run on the service's execution thread: its query LRU is not
+    thread-safe (the index's greedy order, which every answer slices, is
+    locked).  The requests share that LRU and that order.  Failures are
+    isolated per request: a degenerate query yields its
+    :class:`ReproError` in its result slot instead of poisoning the
+    batch, and a request whose deadline expired while queued yields
+    :class:`DeadlineExceeded` — checked here, at execution start on the
+    worker thread, so expired requests never cost selection time.
     """
     slow = faults.delay("slow-selection")
     if slow > 0.0:

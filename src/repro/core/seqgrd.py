@@ -79,9 +79,9 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         seed.
     index:
         A prebuilt marginal :class:`~repro.index.frozen.FrozenRRIndex`:
-        PRIMA+'s sampling is skipped and the ordered seed pool comes from
-        one greedy coverage selection over the index (bit-identical to the
-        pool of the build run).
+        PRIMA+'s sampling is skipped and the ordered seed pool is a prefix
+        of the greedy order the index keeps (bit-identical to the pool of
+        the build run).
     keep_rr_collection:
         Record PRIMA+'s final RR collection in
         ``result.details["rr_collection"]`` so it can be frozen into a
@@ -205,10 +205,13 @@ def _pool_from_index(graph: DirectedGraph, index,
                      num_seeds: int) -> PrimaResult:
     """Recover PRIMA+'s ordered seed pool from a frozen marginal index.
 
-    The greedy order over the frozen collection is bit-identical to the
-    order PRIMA+ computed when the index was built, so its prefixes keep
-    serving every budget in the build's budget vector.  ``cap_hit`` is the
-    one the build recorded in the manifest.
+    The pool is the first ``num_seeds`` picks of the one greedy order the
+    index keeps (see :class:`~repro.rrsets.coverage.GreedyOrder`), which
+    is bit-identical to the order PRIMA+ computed when the index was
+    built.  Its prefixes serve every budget vector, as PRIMA+'s do; the
+    order is extended only when ``num_seeds`` reaches past every earlier
+    request, so a repeated or smaller total costs a slice.  ``cap_hit``
+    is the one the build recorded in the manifest.
     """
     if index.num_nodes != graph.num_nodes:
         raise AlgorithmError(

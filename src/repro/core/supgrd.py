@@ -74,9 +74,9 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
         identical for every worker count at a fixed seed.
     index:
         A prebuilt weighted :class:`~repro.index.frozen.FrozenRRIndex`.
-        Sampling is skipped entirely — seeds come from one greedy coverage
-        selection over the index, reproducing the allocation of the build
-        run in milliseconds.
+        Sampling is skipped entirely — seeds are a prefix of the greedy
+        order the index keeps, reproducing the allocation of the build run
+        without re-running node selection for budgets it already covers.
     keep_rr_collection:
         Record the final RR collection in
         ``result.details["rr_collection"]`` so it can be frozen into a
@@ -173,11 +173,12 @@ def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
                       ) -> AllocationResult:
     """Answer a SupGRD query from a prebuilt weighted RR-set index.
 
-    One greedy coverage selection over the frozen collection — the same
-    ``node_selection`` the build ran — so the served seeds are bit-identical
-    to the build-time allocation (for the built budget) or its greedy
-    prefix (for smaller budgets).  ``cap_hit`` is the one the build
-    recorded in the manifest.
+    The seeds are the first ``budget`` picks of the one greedy order the
+    index keeps — the order of the ``node_selection`` the build ran — so
+    they are bit-identical to the build-time allocation (for the built
+    budget) or its greedy prefix (for smaller budgets), and the order is
+    extended only when ``budget`` reaches past every earlier request.
+    ``cap_hit`` is the one the build recorded in the manifest.
     """
     if index.num_nodes != graph.num_nodes:
         raise AlgorithmError(

@@ -10,7 +10,10 @@ over the repaired index):
 * **Zero-repair reuse** — when a delta repairs no RR sets (nothing
   touched, nothing re-rooted), the previous
   :class:`~repro.rrsets.coverage.SelectionResult` is still the answer
-  and is returned without re-running the greedy.
+  and is returned without re-running the greedy, and the repaired index
+  takes over the old index's greedy order: a selection over a frozen
+  index is a prefix of the one order it keeps, so any other budget
+  costs a slice or an extension, not a fresh greedy run.
 * **Incremental initial gains** — the greedy loop starts from the
   per-node initial gains, whose one-pass bincount over all members is
   the dominant cost of a warm selection.  For unit-weight indexes
@@ -68,8 +71,9 @@ class OnlineAllocator:
         """Greedy selection of ``k`` seeds over the current index.
 
         Returns the cached result when nothing changed since the last
-        call with the same budget; otherwise runs :func:`node_selection`
-        seeded with the maintained initial gains.
+        call with the same budget; otherwise :func:`node_selection`
+        slices the index's greedy order, whose first extension starts
+        from the maintained initial gains.
         """
         k = int(k)
         if self._selection is not None and self._selection_k == k:
@@ -78,7 +82,8 @@ class OnlineAllocator:
         index = self._engine.index
         if self._gains0 is not None:
             # hand the maintained gains to the index's lazy cache: the
-            # greedy starts from a copy of initial_gains()
+            # order's first extension starts from a copy of
+            # initial_gains()
             index._gains0 = self._gains0
             self.stats["gains_carried"] += 1
         result = node_selection(index, k)
@@ -99,7 +104,9 @@ class OnlineAllocator:
         new_index = outcome.index
         if outcome.report.repaired_sets == 0 \
                 and new_index.num_nodes == old_n:
-            # same arrays, same graph size: selection and gains survive
+            # same arrays, same graph size: selection, greedy order and
+            # gains survive
+            new_index._order = old_index._order
             if self._gains0 is not None:
                 new_index._gains0 = self._gains0
             return outcome

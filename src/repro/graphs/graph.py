@@ -224,14 +224,30 @@ class DirectedGraph:
                            name: Optional[str] = None) -> "DirectedGraph":
         """Return a copy of this graph with edge probabilities replaced.
 
-        ``probs`` must be aligned with :meth:`edge_arrays` order.
+        ``probs`` must be aligned with :meth:`edge_arrays` order; it is
+        copied, so the caller may reuse it.  The new graph shares this
+        graph's deduplicated edge arrays and both CSRs' ``indptr`` and
+        ``indices`` (all immutable) and allocates only its probability
+        arrays.  Deduplicated edges are sorted by (source, target), so the
+        out-CSR takes the probabilities in edge order and the in-CSR
+        through one stable argsort of the targets: the arrays a
+        from-scratch build would make.
         """
-        probs = np.asarray(probs, dtype=np.float64)
-        if len(probs) != self._m:
+        probs = np.array(probs, dtype=np.float64)
+        if probs.ndim != 1 or len(probs) != self._m:
             raise GraphError(
-                f"expected {self._m} probabilities, got {len(probs)}")
-        return DirectedGraph(self._n, self._sources, self._targets, probs,
-                             name=name or self._name)
+                f"expected {self._m} probabilities, got {probs.size}")
+        if len(probs) and (probs.min() < 0.0 or probs.max() > 1.0):
+            raise GraphError("edge probabilities must lie in [0, 1]")
+        graph = object.__new__(DirectedGraph)
+        graph._n, graph._m = self._n, self._m
+        graph._name = str(name or self._name)
+        graph._sources, graph._targets = self._sources, self._targets
+        graph._probs = probs
+        graph._out = _CSR(self._out.indptr, self._out.indices, probs)
+        graph._in = _CSR(self._in.indptr, self._in.indices,
+                         probs[np.argsort(self._targets, kind="stable")])
+        return graph
 
     def reverse(self, name: Optional[str] = None) -> "DirectedGraph":
         """Return the graph with every edge direction flipped."""

@@ -485,7 +485,9 @@ def build_streaming_index(graph: DirectedGraph,
     The node selection recorded in the manifest runs over the finalized
     (memory-mapped) index — bit-identical to selecting over the in-RAM
     collection by the packed-coverage protocol.  Returns the mmap-loaded
-    :class:`FrozenRRIndex`; the files are already at ``out``.
+    :class:`FrozenRRIndex`, which keeps that selection as the start of
+    its greedy order, so serving it answers budgets up to ``k`` without
+    another greedy run; the files are already at ``out``.
     """
     from repro.index.stream import StreamingIndexWriter
     from repro.rrsets.imm import rr_stream, run_imm_engine

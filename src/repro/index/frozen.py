@@ -10,6 +10,16 @@ produces bit-identical selections.  :meth:`RRCollection.freeze` hands its
 buffers over without copying; :meth:`FrozenRRIndex.to_collection` thaws
 back.
 
+Because the arrays never change, an index keeps one greedy order
+(:class:`~repro.rrsets.coverage.GreedyOrder`) for its lifetime: every
+``node_selection`` over it returns a prefix of that order in fresh
+lists, and extends the order under its lock only when the budget
+reaches past every earlier one, so threads may share an index.  The
+order pins ``num_nodes`` float64 working gains and a ``num_sets``-byte
+covered mask once the first selection runs; it is never saved and never
+counted in :meth:`FrozenRRIndex.array_nbytes`.  A repaired or reloaded
+index is a new object with a new order, so an order cannot go stale.
+
 Persistence is one ``.npz`` of arrays plus one JSON manifest carrying the
 instance fingerprint (see :mod:`repro.index.fingerprint`) and build
 metadata; :meth:`FrozenRRIndex.load` refuses a manifest whose fingerprint
@@ -44,6 +54,7 @@ import numpy as np
 
 from repro.exceptions import IndexStoreError
 from repro.rrsets.coverage import (
+    GreedyOrder,
     PackedCoverage,
     RRCollection,
     build_inverted_csr,
@@ -241,6 +252,8 @@ class FrozenRRIndex(PackedCoverage):
             self._inv_offsets, self._inv_sets = build_inverted_csr(
                 self._offsets, self._nodes, self._weights, self._num_nodes)
         self._gains0: Optional[np.ndarray] = None  # initial_gains cache
+        #: the one greedy order every selection over this index slices
+        self._order = GreedyOrder()
         #: per-set root node ids — carried only by repairable (keyed)
         #: indexes, where re-rooting after node insertions makes roots
         #: non-derivable from the base seed (see repro.dynamic)
@@ -269,6 +282,11 @@ class FrozenRRIndex(PackedCoverage):
 
     def _inverted(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._inv_offsets, self._inv_sets
+
+    def _greedy_order(self) -> GreedyOrder:
+        # the arrays never change, so neither does the order: it is kept
+        # and extended on demand, never recomputed
+        return self._order
 
     @property
     def num_nodes(self) -> int:

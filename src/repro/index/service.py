@@ -8,9 +8,13 @@ selection (milliseconds).  :class:`AllocationService` is the serving layer:
   :func:`~repro.rrsets.coverage.node_selection` greedy — through
   ``seqgrd``/``supgrd`` with the prebuilt index, so served allocations are
   identical to direct runs;
-* repeated queries hit an LRU result cache, and plain top-``k`` selections
-  additionally reuse one incrementally-extended greedy order (the greedy's
-  prefix property makes any smaller budget a prefix of a larger one).
+* every answer is a prefix of the one greedy order the index keeps (the
+  greedy's prefix property makes any smaller budget a prefix of a larger
+  one): the order lives on the index, not the service, so direct runs
+  over the same index object share it, and it is extended only when a
+  budget reaches past it;
+* repeated queries hit an LRU result cache, which is not thread-safe:
+  ``query`` runs on the service's execution thread.
 
 The JSON-lines dialects of ``repro serve`` live in
 :class:`repro.serve.AllocationServer`, which answers both of them from
@@ -26,7 +30,7 @@ from repro.allocation import Allocation
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.index.frozen import FrozenRRIndex
-from repro.rrsets.coverage import SelectionResult, node_selection
+from repro.rrsets.coverage import node_selection
 from repro.utility.model import UtilityModel
 
 #: algorithms the service can answer (aliases normalized by _normalize)
@@ -80,8 +84,6 @@ class AllocationService:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        # incrementally extended greedy order for plain selections
-        self._selection: Optional[SelectionResult] = None
 
     # ------------------------------------------------------------------
     @property
@@ -120,21 +122,6 @@ class AllocationService:
         return {"array_bytes": self._index.array_nbytes(),
                 "resident_bytes": self._index.resident_nbytes(),
                 "mmapped": self._index.mmapped}
-
-    def _ordered_selection(self, k: int) -> SelectionResult:
-        """Greedy selection of ``k`` seeds, reusing the longest order so far.
-
-        ``node_selection`` returns seeds in greedy order, so a smaller
-        budget is always a prefix of a larger one — the service only ever
-        recomputes when a query asks for more seeds than any before it.
-        """
-        if self._selection is None or len(self._selection.seeds) < k:
-            self._selection = node_selection(self._index, k)
-        prefix = self._selection.prefix(k)
-        weights = self._selection.prefix_weights[:len(prefix)]
-        covered = weights[-1] if weights else 0.0
-        return SelectionResult(seeds=prefix, covered_weight=covered,
-                               prefix_weights=list(weights))
 
     # ------------------------------------------------------------------
     def query(self, algorithm: str = "select",
@@ -204,7 +191,7 @@ class AllocationService:
         scale = index.num_nodes / max(index.num_sets, 1)
         if algorithm == "select":
             k = max(budgets.values())
-            selection = self._ordered_selection(k)
+            selection = node_selection(index, k)
             item = next(iter(budgets))
             allocation = {item: list(selection.seeds)}
             value = selection.covered_weight * scale

@@ -15,7 +15,8 @@ array-native:
   path all share one representation and one accessor protocol
   (:class:`PackedCoverage`).
 * :func:`node_selection` (Algorithm 5 in the paper) runs over that packed
-  representation: one eager greedy loop with exact gains.
+  representation: one eager greedy loop with exact gains, whose state
+  (:class:`GreedyOrder`) can stop after any pick and resume.
 
 The greedy loop
 ---------------
@@ -30,6 +31,22 @@ pure-Python reference loop the tests keep as an oracle (same
 addition/subtraction order), so seeds, ``prefix_weights`` and
 ``covered_weight`` agree with it bit for bit.
 
+One order, resumed
+------------------
+The loop's state after ``j`` picks — working gains, covered mask,
+running total, seeds, prefix weights, ``saturated_at`` — does not depend
+on the target ``k``, so every selection of ``k`` seeds is the first ``k``
+picks of one greedy order (the prefix property PRIMA+'s Algorithm 4
+relies on to serve a whole budget vector from one run).  A growable
+:class:`RRCollection` runs a fresh state to ``k`` on every call, since
+it may grow in between.  A :class:`~repro.index.frozen.FrozenRRIndex` is
+immutable, so it keeps one state for its lifetime: a call extends it
+(under the state's lock) only when ``k`` reaches past every earlier
+call, and otherwise costs a slice.  Resuming runs the same operations in
+the same order as one uninterrupted run, so both are bit-identical.
+``repro_selection_seconds{phase}`` records one observation per phase per
+extension, not per call.
+
 Saturation (the stop-or-pad rule)
 ---------------------------------
 Once every remaining candidate has zero marginal gain the greedy is
@@ -43,10 +60,13 @@ receiving ``k`` seeds so budgets are exhausted and greedy prefixes keep
 serving every smaller budget.  ``on_saturation="stop"`` truncates the
 selection at the first zero-gain pick instead.  Either way
 :attr:`SelectionResult.saturated_at` records where saturation set in.
+The kept order is always the padded one; a ``"stop"`` answer is its
+prefix cut at ``saturated_at``.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -238,6 +258,11 @@ class PackedCoverage:
         if self.num_sets == 0:
             return 0.0
         return self.covered_weight(seeds) / self.num_sets
+
+    def _greedy_order(self) -> "GreedyOrder":
+        """The greedy state :func:`node_selection` resumes: a fresh one
+        here, since a growable collection may change between calls."""
+        return GreedyOrder()
 
 
 @dataclass
@@ -684,6 +709,118 @@ class SelectionResult:
         return self.seeds[:k]
 
 
+class GreedyOrder:
+    """The greedy loop's state after ``len(seeds)`` picks.
+
+    Nothing in it depends on the target ``k`` — the working gains (picked
+    nodes hold ``-inf``), the covered-set mask, the running covered
+    weight, the picks in order, their prefix weights and ``saturated_at``
+    — so the loop can stop after any pick and resume later, and every
+    :class:`SelectionResult` is a prefix of one order.  The state follows
+    the padded order: the first pick that covers nothing is recorded even
+    under ``on_saturation="stop"``, which only cuts answers there.
+
+    A growable :class:`RRCollection` hands every :func:`node_selection`
+    call a fresh order (the collection may grow between calls); a
+    :class:`~repro.index.frozen.FrozenRRIndex` keeps one order for its
+    lifetime and extends it under :attr:`lock`.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._clear()
+
+    def _clear(self) -> None:
+        #: working gains and covered mask, allocated by the first extension
+        self.gains: Optional[np.ndarray] = None
+        self.covered: Optional[np.ndarray] = None
+        self.seeds: List[int] = []
+        self.prefix_weights: List[float] = []
+        self.total = 0.0
+        self.saturated_at: Optional[int] = None
+
+    def extend(self, coverage: PackedCoverage, k: int, stop: bool) -> None:
+        """Run the greedy loop until the order holds ``k`` picks — or,
+        with ``stop``, until a pick covers nothing.  A no-op when it
+        already does; otherwise one ``repro_selection_seconds``
+        observation per phase."""
+        if len(self.seeds) >= k or (stop and self.saturated_at is not None):
+            return
+        started = time.perf_counter()
+        offsets, members, weights = coverage._packed()
+        inv_offsets, inv_sets = coverage._inverted()
+        if self.gains is None:
+            # a fresh copy: the loop excludes picked nodes by writing -inf
+            # into it, never into the collection's cached initial gains
+            self.gains = coverage.initial_gains()
+            self.covered = np.zeros(coverage.num_sets, dtype=bool)
+        gains, covered = self.gains, self.covered
+        selected, prefix_weights = self.seeds, self.prefix_weights
+        total, saturated_at = self.total, self.saturated_at
+        loop_started = time.perf_counter()
+        _observe_selection("gains_init", loop_started - started)
+        try:
+            while len(selected) < k:
+                candidate = int(np.argmax(gains))
+                gains[candidate] = -np.inf
+                postings = inv_sets[inv_offsets[candidate]:
+                                    inv_offsets[candidate + 1]]
+                new = postings[~covered[postings]]
+                if len(new) > 1:
+                    # a duplicated member would duplicate its posting;
+                    # postings are ascending, so dropping adjacent repeats
+                    # counts each newly covered set exactly once
+                    keep = np.ones(len(new), dtype=bool)
+                    np.not_equal(new[1:], new[:-1], out=keep[1:])
+                    new = new[keep]
+                if len(new):
+                    covered[new] = True
+                    starts = offsets[new]
+                    lengths = offsets[new + 1] - starts
+                    width = int(lengths.sum())
+                    # gather the concatenated members of the newly covered
+                    # sets: for each set a contiguous member range,
+                    # expanded CSR-style
+                    positions = np.arange(width, dtype=np.int64) \
+                        + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                    lengths)
+                    np.subtract.at(gains, members[positions],
+                                   np.repeat(weights[new], lengths))
+                    # per-set sequential accumulation (np.sum's pairwise
+                    # reduction would round differently from the reference
+                    # loop)
+                    for weight in weights[new]:
+                        total += weight
+                elif saturated_at is None:
+                    saturated_at = len(selected)
+                selected.append(candidate)
+                prefix_weights.append(total)
+                if stop and saturated_at is not None:
+                    break
+        except BaseException:
+            # a half-committed pick would corrupt every later answer
+            self._clear()
+            raise
+        self.total, self.saturated_at = total, saturated_at
+        finished = time.perf_counter()
+        _observe_selection("select_loop", finished - loop_started)
+        _observe_selection("total", finished - started)
+
+    def result(self, k: int, stop: bool) -> SelectionResult:
+        """The selection of ``k`` seeds, in fresh lists: the order's first
+        ``k`` picks, cut at ``saturated_at`` under ``stop``.  The order
+        must already hold them (see :meth:`extend`)."""
+        saturated_at = self.saturated_at
+        if saturated_at is not None and saturated_at >= k:
+            saturated_at = None  # saturation set in past this budget
+        end = saturated_at if stop and saturated_at is not None else k
+        prefix_weights = self.prefix_weights[:end]
+        return SelectionResult(
+            seeds=self.seeds[:end],
+            covered_weight=prefix_weights[-1] if prefix_weights else 0.0,
+            prefix_weights=prefix_weights, saturated_at=saturated_at)
+
+
 def node_selection(collection, k: int,
                    on_saturation: str = SATURATION_PAD) -> SelectionResult:
     """Greedy weighted maximum coverage (Algorithm 5, ``NodeSelection``).
@@ -699,6 +836,9 @@ def node_selection(collection, k: int,
         :class:`~repro.index.frozen.FrozenRRIndex` — any
         :class:`PackedCoverage` — so selections over a frozen index are
         bit-identical to selections over the collection it was built from.
+        A growable collection runs a fresh :class:`GreedyOrder` to ``k``;
+        a frozen index answers from the one order it keeps, extending it
+        only when ``k`` reaches past it.
     on_saturation:
         The stop-or-pad rule (see the module docstring): ``"pad"`` (the
         default, preserving PRIMA+'s always-``k``-seeds prefix semantics)
@@ -711,58 +851,11 @@ def node_selection(collection, k: int,
             f"unknown on_saturation mode {on_saturation!r}; "
             f"expected one of {list(_SATURATION_MODES)}")
     k = min(int(k), collection.num_nodes)
-    started = time.perf_counter()
-    offsets, members, weights = collection._packed()
-    inv_offsets, inv_sets = collection._inverted()
-    # a fresh copy: the loop excludes picked nodes by writing -inf into
-    # it, never into the collection's cached initial gains
-    gains = collection.initial_gains()
-    loop_started = time.perf_counter()
-    _observe_selection("gains_init", loop_started - started)
-    covered = np.zeros(collection.num_sets, dtype=bool)
-    selected: List[int] = []
-    prefix_weights: List[float] = []
-    total = 0.0
-    saturated_at: Optional[int] = None
-    while len(selected) < k:
-        candidate = int(np.argmax(gains))
-        gains[candidate] = -np.inf
-        postings = inv_sets[inv_offsets[candidate]:inv_offsets[candidate + 1]]
-        new = postings[~covered[postings]]
-        if len(new) > 1:
-            # a duplicated member would duplicate its posting; postings are
-            # ascending, so dropping adjacent repeats counts each newly
-            # covered set exactly once
-            keep = np.ones(len(new), dtype=bool)
-            np.not_equal(new[1:], new[:-1], out=keep[1:])
-            new = new[keep]
-        if len(new):
-            covered[new] = True
-            starts = offsets[new]
-            lengths = offsets[new + 1] - starts
-            width = int(lengths.sum())
-            # gather the concatenated members of the newly covered sets:
-            # for each set a contiguous member range, expanded CSR-style
-            positions = np.arange(width, dtype=np.int64) \
-                + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            np.subtract.at(gains, members[positions],
-                           np.repeat(weights[new], lengths))
-            # per-set sequential accumulation (np.sum's pairwise reduction
-            # would round differently from the reference loop)
-            for weight in weights[new]:
-                total += weight
-        elif saturated_at is None:
-            saturated_at = len(selected)
-            if on_saturation == SATURATION_STOP:
-                break
-        selected.append(candidate)
-        prefix_weights.append(total)
-    finished = time.perf_counter()
-    _observe_selection("select_loop", finished - loop_started)
-    _observe_selection("total", finished - started)
-    return SelectionResult(seeds=selected, covered_weight=total,
-                           prefix_weights=prefix_weights,
-                           saturated_at=saturated_at)
+    stop = on_saturation == SATURATION_STOP
+    order = collection._greedy_order()
+    with order.lock:
+        order.extend(collection, k, stop)
+        return order.result(k, stop)
 
 
 __all__ = [
@@ -775,5 +868,6 @@ __all__ = [
     "PackedRRBatch",
     "RRCollection",
     "SelectionResult",
+    "GreedyOrder",
     "node_selection",
 ]

@@ -14,11 +14,15 @@ levels:
 * **per-index batching** — distinct fingerprints destined for the same
   index that are pending in the same event-loop tick drain as one batch
   through :func:`repro.api.protocol.execute_prepared_batch`, sharing the
-  query LRU and the incrementally-extended greedy order in a single
-  executor hop; a request alone in its tick is a batch of one.
+  query LRU in a single executor hop; a request alone in its tick is a
+  batch of one.
 
-Every v1 request the server answers executes here, on a single worker
-thread (the services' caches and greedy orders are not thread-safe).
+Every indexed answer is a prefix of the one greedy order its index keeps
+(the order lives on the index, not the service), so once the order
+reaches the largest budget asked, an uncached request costs a slice, not
+a greedy run.  Every v1 request the server answers executes here, on a
+single worker thread: the order is locked, but the services' query LRUs
+are not thread-safe.
 Every counter is exposed per index key via
 :meth:`RequestCoalescer.counters` and surfaced by the ``stats`` op.
 """

@@ -546,11 +546,13 @@ class AllocationServer:
             return self._legacy_response(request, body, key)
         # 4. route + validate on the worker thread (lazy index loads
         # never block the loop)
-        outcome = await loop.run_in_executor(
-            self._executor, prepare_request, request,
-            self._registry.resolve_spec, deadline)
-        # includes the executor hop — what the request actually waited
-        trace.add("validate", time.perf_counter() - started)
+        begun, outcome = await loop.run_in_executor(
+            self._executor, self._prepare_v1, request, deadline)
+        # the wait behind other work on the one worker thread is queueing,
+        # as for a legacy op; validate is the worker's routing and
+        # validation
+        trace.add("queue", begun - started)
+        trace.add("validate", time.perf_counter() - begun)
         if isinstance(outcome, dict):
             self._errors += 1
             return outcome
@@ -576,6 +578,14 @@ class AllocationServer:
             key, coalesced=coalesced, batch_size=batch_size,
             queue_depth=depth)
         return response
+
+    def _prepare_v1(self, request: Mapping[str, Any],
+                    deadline: Optional[float]) -> Tuple[float, Any]:
+        """Stage 4 of a v1 request, on the worker thread: ``(when it
+        began, prepare_request's outcome)``."""
+        begun = time.perf_counter()
+        return begun, prepare_request(request, self._registry.resolve_spec,
+                                      deadline)
 
     def _run_legacy(self, request: Mapping[str, Any], op: str,
                     deadline: Optional[float], trace: Trace,

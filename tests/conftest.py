@@ -103,3 +103,18 @@ def theorem1_model():
 @pytest.fixture
 def empty_allocation():
     return Allocation.empty()
+
+
+@pytest.fixture
+def selection_extensions():
+    """A callable counting the greedy-order extensions recorded so far:
+    ``repro_selection_seconds{phase="total"}`` observations in the
+    process registry."""
+    from repro.obs.metrics import get_metrics
+
+    def count() -> int:
+        rows = get_metrics().summary()["histograms"].get(
+            "repro_selection_seconds", {})
+        return rows.get('{phase="total"}', {}).get("count", 0)
+
+    return count

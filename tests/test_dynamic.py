@@ -174,6 +174,27 @@ class TestRepairExactness:
         assert outcome.report.repaired_sets > 0
         assert_index_equal(outcome.index, rebuild(outcome.graph))
 
+    def test_repaired_index_selects_like_its_files(self, small_er_graph,
+                                                   tmp_path):
+        from repro.index import FrozenRRIndex
+
+        graph = small_er_graph
+        index = rebuild(graph)
+        node_selection(index, 10)  # the pristine index's own order
+        outcome = RRRepairEngine(index, graph).repair(
+            random_edge_delta(graph, 0.02, seed=5))
+        assert outcome.report.repaired_sets > 0
+        save_repaired(outcome.index, tmp_path / "dyn")
+        loaded = FrozenRRIndex.load(tmp_path / "dyn")
+        for k, mode in ((10, "pad"), (4, "stop"), (30, "pad"), (1, "stop"),
+                        (30, "stop"), (10, "pad")):
+            got = node_selection(outcome.index, k, on_saturation=mode)
+            want = node_selection(loaded, k, on_saturation=mode)
+            assert got.seeds == want.seeds
+            assert got.prefix_weights == want.prefix_weights
+            assert got.covered_weight == want.covered_weight
+            assert got.saturated_at == want.saturated_at
+
     def test_node_insertions_match_full_resample(self, small_er_graph):
         """Growth re-roots minimally; the repaired sets must equal a
         full keyed resample of *every* set at the repaired roots (a
@@ -441,6 +462,27 @@ class TestOnlineAllocator:
         allocator.apply(GraphDelta())
         assert allocator.allocate(5) is first
         assert allocator.stats["warm_reuses"] == 1
+
+    def test_zero_repair_delta_keeps_the_order(self, small_er_graph,
+                                               selection_extensions):
+        graph = small_er_graph
+        index = rebuild(graph, rr_sets=20)
+        members = set(index._packed()[1].tolist())
+        target = next(v for v in range(graph.num_nodes) if v not in members)
+        source = next(u for u in range(graph.num_nodes)
+                      if u != target and not graph.has_edge(u, target))
+        allocator = OnlineAllocator(index, graph)
+        allocator.allocate(8)
+        outcome = allocator.apply(
+            GraphDelta(add_edges=((source, target, 0.5),)))
+        assert outcome.report.repaired_sets == 0
+        assert outcome.index is not index
+        before = selection_extensions()
+        warm = allocator.allocate(3)  # a prefix of the carried order
+        assert selection_extensions() == before
+        cold = node_selection(rebuild(allocator.graph, rr_sets=20), 3)
+        assert warm.seeds == cold.seeds
+        assert warm.prefix_weights == cold.prefix_weights
 
     def test_non_unit_weights_fall_back(self, small_er_graph):
         graph = small_er_graph

@@ -139,6 +139,41 @@ class TestDerivedGraphs:
         with pytest.raises(GraphError):
             g.with_probabilities([0.1, 0.2])
 
+    def test_with_probabilities_equals_a_fresh_build(self):
+        # duplicates (collapsed), unsorted input and several in-edges per
+        # target: the shared CSR structure must still line up
+        rng = np.random.default_rng(3)
+        sources = rng.integers(0, 30, size=400)
+        targets = rng.integers(0, 30, size=400)
+        keep = sources != targets
+        g = DirectedGraph(30, sources[keep], targets[keep],
+                          rng.random(int(keep.sum())))
+        assert g.num_edges < int(keep.sum())
+        edge_sources, edge_targets, _ = g.edge_arrays()
+        probs = rng.random(g.num_edges)
+        derived = g.with_probabilities(probs, name="derived")
+        fresh = DirectedGraph(30, edge_sources, edge_targets, probs)
+        for got, want in [(derived.edge_arrays(), fresh.edge_arrays()),
+                          (derived.out_csr(), fresh.out_csr()),
+                          (derived.in_csr(), fresh.in_csr())]:
+            for left, right in zip(got, want):
+                assert left.dtype == right.dtype
+                np.testing.assert_array_equal(left, right)
+        assert derived.name == "derived"
+        assert derived.num_edges == fresh.num_edges
+
+    def test_with_probabilities_range_and_copy(self):
+        g = DirectedGraph.from_edges(3, [(0, 1, 0.5), (2, 1, 0.5)])
+        for bad in ([0.1, 1.5], [-0.1, 0.2]):
+            with pytest.raises(GraphError):
+                g.with_probabilities(bad)
+        probs = np.array([0.25, 0.75])
+        derived = g.with_probabilities(probs)
+        probs[:] = 0.0  # the caller's array stays the caller's
+        assert derived.edge_probability(0, 1) == 0.25
+        assert derived.edge_probability(2, 1) == 0.75
+        np.testing.assert_array_equal(derived.in_csr()[2], [0.25, 0.75])
+
     def test_reverse(self):
         g = DirectedGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)])
         r = g.reverse()

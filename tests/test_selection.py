@@ -6,14 +6,18 @@ the pure-Python greedy loop kept here as the oracle — same seeds, same
 ``prefix_weights`` floats, same ``covered_weight``, same ``saturated_at`` —
 over any weighted RR collection, and the growable :class:`RRCollection`,
 its zero-copy :meth:`freeze` and the ``.npz`` round-trip all preserve
-that identity.
+that identity — including a frozen index answering any sequence of
+budgets, from any number of threads, as prefixes of the one greedy order
+it keeps.
 """
 
+import sys
+import threading
 from typing import List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import AlgorithmError
@@ -192,6 +196,121 @@ def test_property_prefix_weights_are_submodular(sets, k):
     if result.saturated_at is not None:
         assert (increments[result.saturated_at:] == 0).all()
     assert result.covered_weight == collection.covered_weight(result.seeds)
+
+
+# a frozen index answers every k from one kept order: any sequence of
+# budgets and modes must match the oracle run fresh to each k
+weights_strategy = st.one_of(
+    st.just(1.0),
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0,
+                                               max_value=10.0)),
+             min_size=20, max_size=20))
+member_lists = st.lists(st.integers(min_value=0, max_value=9), min_size=0,
+                        max_size=5)  # not unique: duplicated members
+queries_strategy = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=13),
+              st.sampled_from([SATURATION_PAD, SATURATION_STOP])),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(members=st.lists(member_lists, min_size=1, max_size=20),
+       weights=weights_strategy, queries=queries_strategy)
+@example(members=[[0, 1], [1, 2, 2], [], [3], [4, 0], [5, 6, 7], [8]],
+         weights=1.0,
+         queries=[(4, SATURATION_STOP), (4, SATURATION_PAD),
+                  (9, SATURATION_PAD), (2, SATURATION_STOP),
+                  (0, SATURATION_PAD), (13, SATURATION_STOP),
+                  (13, SATURATION_PAD), (7, SATURATION_STOP)])
+def test_property_frozen_order_answers_every_sequence(members, weights,
+                                                      queries):
+    collection = RRCollection(10)
+    for position, nodes in enumerate(members):
+        weight = weights if isinstance(weights, float) \
+            else weights[position]
+        collection.add(np.array(nodes, dtype=np.int64), weight)
+    frozen = FrozenRRIndex(10, *collection._packed())
+    for k, mode in queries:
+        assert_identical(node_selection(frozen, k, on_saturation=mode),
+                         reference_selection(collection, k, mode))
+
+
+class TestKeptOrder:
+    """A frozen index keeps one greedy order and answers by slicing it."""
+
+    def test_answers_are_fresh_lists(self):
+        collection = random_collection(np.random.default_rng(42),
+                                       num_nodes=12, num_sets=40)
+        frozen = collection.freeze()
+        for k in (6, 3):
+            answer = node_selection(frozen, k)
+            answer.seeds.reverse()
+            answer.seeds.append(11)
+            answer.prefix_weights[:] = [-1.0]
+            assert_identical(node_selection(frozen, k),
+                             reference_selection(collection, k))
+            assert_identical(node_selection(frozen, 8),
+                             reference_selection(collection, 8))
+
+    def test_threads_share_one_fresh_index(self):
+        collection = random_collection(np.random.default_rng(43),
+                                       num_nodes=40, num_sets=400)
+        frozen = FrozenRRIndex(40, *collection._packed())
+        queries = [(0, SATURATION_PAD), (3, SATURATION_STOP),
+                   (7, SATURATION_PAD), (12, SATURATION_STOP),
+                   (20, SATURATION_PAD), (26, SATURATION_STOP),
+                   (33, SATURATION_PAD), (45, SATURATION_STOP)]
+        barrier = threading.Barrier(len(queries), timeout=30)
+        answers = {}
+
+        def select(query):
+            barrier.wait()
+            answers[query] = node_selection(frozen, *query)
+
+        threads = [threading.Thread(target=select, args=(query,))
+                   for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the extensions densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == sorted(queries)  # no thread raised
+        for k, mode in queries:
+            assert_identical(answers[(k, mode)],
+                             reference_selection(collection, k, mode))
+
+    def test_save_after_queries_writes_the_same_files(self, tmp_path):
+        import json
+        import zipfile
+
+        collection = random_collection(np.random.default_rng(44),
+                                       num_nodes=12, num_sets=50)
+        index = collection.freeze(meta={"sampler": "standard"})
+        index.save(tmp_path / "before")
+        for k in (5, 12, 2):
+            node_selection(index, k)
+        index.save(tmp_path / "after")
+        with np.load(tmp_path / "before.npz") as before, \
+                np.load(tmp_path / "after.npz") as after:
+            assert before.files == after.files
+            for name in before.files:
+                assert before[name].dtype == after[name].dtype
+                np.testing.assert_array_equal(before[name], after[name])
+        with zipfile.ZipFile(tmp_path / "after.npz") as archive:
+            assert archive.namelist() == [
+                f"{name}.npy" for name in ("offsets", "nodes", "weights",
+                                           "inv_offsets", "inv_sets",
+                                           "gains0")]
+        manifests = [json.loads((tmp_path / f"{name}.manifest.json")
+                                .read_text(encoding="utf-8"))
+                     for name in ("before", "after")]
+        for key in ("array_bytes", "dtypes"):
+            assert manifests[0][key] == manifests[1][key]
 
 
 class TestSaturation:

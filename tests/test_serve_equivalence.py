@@ -203,6 +203,81 @@ class TestServeMatchesRun:
         assert again["fingerprint"] == response["fingerprint"]
 
 
+class TestOneOrderPerIndex:
+    """One service answers every budget as a prefix of its index's one
+    greedy order: equal to a direct run over a fresh load, and no greedy
+    run after the first answer at the largest budget."""
+
+    ENGINE = EngineConfig(seed=3, samples=5, max_rr_sets=20000,
+                          epsilon=0.9)
+
+    def budget_sequence(self, algorithm):
+        if algorithm == "SeqGRD-NM":
+            return [{"i": 4, "j": 4}, {"i": 3, "j": 2}, {"i": 1, "j": 1},
+                    {"i": 2, "j": 1}, {"i": 3, "j": 3}, {"i": 4, "j": 3}]
+        return [{"i": 7}, {"i": 5}, {"i": 2}, {"i": 1}, {"i": 3},
+                {"i": 6}]
+
+    def build(self, graph, model, algorithm, path):
+        budgets = self.budget_sequence(algorithm)[-1]
+        if algorithm == "select":
+            index = build_index(graph, None, sampler="standard",
+                                k=max(budgets.values()),
+                                options=self.ENGINE.imm_options(),
+                                seed=self.ENGINE.seed)
+        else:
+            spec = RunSpec(algorithm, WorkloadSpec(
+                network=NETWORK, scale=SCALE, configuration=CONFIGURATION,
+                budgets=budgets,
+                superior_item="i" if algorithm == "SupGRD" else None),
+                self.ENGINE)
+            index = build_matching_index(graph, model, spec)
+        index.save(path)
+
+    def direct(self, graph, model, algorithm, budgets, path):
+        from repro.index import FrozenRRIndex
+        from repro.rrsets.coverage import node_selection
+
+        fresh = FrozenRRIndex.load(path)
+        if algorithm == "select":
+            # a growable collection runs its own greedy from scratch
+            seeds = node_selection(fresh.to_collection(),
+                                   budgets["i"]).seeds
+            return {"i": list(seeds)}
+        spec = RunSpec(algorithm, WorkloadSpec(
+            network=NETWORK, scale=SCALE, configuration=CONFIGURATION,
+            budgets=budgets,
+            superior_item="i" if algorithm == "SupGRD" else None),
+            self.ENGINE)
+        record = run_spec(spec, graph=graph, model=model, index=fresh)
+        return {item: list(nodes) for item, nodes
+                in record.result.allocation.as_dict().items()}
+
+    @pytest.mark.parametrize("algorithm", ["SeqGRD-NM", "SupGRD", "select"])
+    def test_falling_then_rising_budgets(self, instances, tmp_path,
+                                         selection_extensions, algorithm):
+        from repro.index import AllocationService, FrozenRRIndex
+
+        graphs, model = instances
+        graph = graphs[self.ENGINE.seed]
+        path = tmp_path / "index"
+        self.build(graph, model, algorithm, path)
+        # the LRU is off: every answer goes through node selection
+        service = AllocationService(FrozenRRIndex.load(path, mmap=True),
+                                    graph, model, cache_size=0)
+        answers = []
+        for n, budgets in enumerate(self.budget_sequence(algorithm)):
+            answers.append(service.query(algorithm, budgets=budgets))
+            if n == 0:  # the largest budget: the order's one extension
+                extensions = selection_extensions()
+        assert selection_extensions() == extensions
+        assert not any(answer["cached"] for answer in answers)
+        for budgets, answer in zip(self.budget_sequence(algorithm),
+                                   answers):
+            assert answer["allocation"] == self.direct(
+                graph, model, algorithm, budgets, path), budgets
+
+
 class TestWirePathEquivalence:
     def test_tcp_round_trip_bit_identical(self, tmp_path, instances,
                                           served_and_direct):
