@@ -16,7 +16,7 @@ and the response round-trips the spec (``RunSpec.from_dict(response["spec"])
 A request may also carry ``deadline_ms`` (milliseconds from frame
 receipt); an expired request is answered ``deadline-exceeded`` before any
 selection work runs — the deadline is **not** part of the spec or its
-fingerprint, so deadline-carrying requests still coalesce and cache like
+fingerprint, so deadline-carrying requests share the result cache with
 their plain twins.
 
 Errors never kill the serving loop; they come back as an envelope::
@@ -70,43 +70,31 @@ unaffected.  Manifest ``meta["dynamic"]["staleness"]`` accumulates
 :meth:`repro.serve.IndexRegistry.stats` flags indexes whose cumulative
 repaired fraction exceeds the registry's staleness bound.
 
-Handling is split into three stages so the concurrent server in
-:mod:`repro.serve` can coalesce and batch between them:
+Handling is two stages plus the response:
 
 * :func:`prepare_request` — validation and routing: version, spec shape,
   servable algorithm, the route to a compatible index, budget
   resolution; returns ``(key, service, PreparedRequest)`` (or an error
-  envelope) without touching any cache, so it is safe off the execution
-  thread;
-* :func:`execute_prepared_batch` — the deadline check + greedy selection
-  for a batch of prepared requests against one service (a lone request
-  is a batch of one); failures are isolated per request;
+  envelope) without touching any cache;
+* execution — :meth:`repro.index.service.AllocationService.query` of the
+  prepared algorithm and budgets, run by the server's execution step
+  (the one both dialects share: deadline check, then the query) on the
+  worker thread where the request was prepared;
 * :func:`build_response` — assembles the wire response.
 
-The server adds a ``"server"`` object to every served response (queue
-depth, coalescing provenance, the serving index) — see
-:class:`repro.serve.AllocationServer`.
+The server adds a ``"server"`` object to every served response (the
+serving index, the queue depth at admission, the requests in flight) —
+see :class:`repro.serve.AllocationServer`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
-from repro import faults
 from repro.api.specs import RunSpec
-from repro.exceptions import DeadlineExceeded, ReproError, SpecError
+from repro.exceptions import ReproError, SpecError
 
 #: the protocol version this build speaks
 PROTOCOL_VERSION = 1
@@ -261,30 +249,17 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
 
 @dataclass(frozen=True)
 class PreparedRequest:
-    """A validated v1 request, ready for (possibly batched) execution.
-
-    ``deadline`` is an absolute ``time.perf_counter()`` instant (not part
-    of the spec or its fingerprint): execution stages check it *before*
-    starting work and answer ``deadline-exceeded`` instead of burning
-    worker time on a request nobody is waiting for.
-    """
+    """A validated v1 request, ready for execution."""
 
     request_id: Optional[Any]
     spec: RunSpec
     fingerprint: str
     algorithm: str
     budgets: Dict[str, int]
-    deadline: Optional[float] = None
-
-    def expired(self, now: float) -> bool:
-        """Whether the deadline passed by ``now`` (``False`` without a
-        deadline)."""
-        return self.deadline is not None and now >= self.deadline
 
 
 def prepare_request(request: Mapping[str, Any],
-                    route: Callable[[RunSpec], Tuple[str, Any]],
-                    deadline: Optional[float] = None
+                    route: Callable[[RunSpec], Tuple[str, Any]]
                     ) -> Union[Tuple[str, Any, PreparedRequest],
                                Dict[str, Any]]:
     """Validate one versioned request and route it to a service.
@@ -293,9 +268,8 @@ def prepare_request(request: Mapping[str, Any],
     algorithm set; ``route(spec)`` then picks a compatible index and
     returns ``(key, service)`` (raising :class:`ReproError` when none
     is); finally the spec's items are validated against the service's
-    model and the effective budgets resolved.  Touches no cache, so it is
-    safe outside the execution thread.  Returns ``(key, service,
-    PreparedRequest)``, or an error envelope ``dict``.
+    model and the effective budgets resolved.  Touches no cache.  Returns
+    ``(key, service, PreparedRequest)``, or an error envelope ``dict``.
     """
     request_id = request.get("id")
     version = request.get("v")
@@ -351,39 +325,7 @@ def prepare_request(request: Mapping[str, Any],
             budgets, spec.workload.superior_item)
     return key, service, PreparedRequest(
         request_id=request_id, spec=spec, fingerprint=spec.fingerprint(),
-        algorithm=spec.algorithm, budgets=budgets, deadline=deadline)
-
-
-def execute_prepared_batch(service, batch: Sequence[PreparedRequest]
-                           ) -> List[Union[Dict[str, Any], ReproError]]:
-    """Execute prepared requests against one service in one pass.
-
-    Must run on the service's execution thread: its query LRU is not
-    thread-safe (the index's greedy order, which every answer slices, is
-    locked).  The requests share that LRU and that order.  Failures are
-    isolated per request: a degenerate query yields its
-    :class:`ReproError` in its result slot instead of poisoning the
-    batch, and a request whose deadline expired while queued yields
-    :class:`DeadlineExceeded` — checked here, at execution start on the
-    worker thread, so expired requests never cost selection time.
-    """
-    slow = faults.delay("slow-selection")
-    if slow > 0.0:
-        time.sleep(slow)
-    now = time.perf_counter()
-    results: List[Union[Dict[str, Any], ReproError]] = []
-    for prepared in batch:
-        if prepared.expired(now):
-            results.append(DeadlineExceeded(
-                f"deadline expired before execution started "
-                f"(fingerprint {prepared.fingerprint[:12]}…)"))
-            continue
-        try:
-            results.append(service.query(prepared.algorithm,
-                                         budgets=prepared.budgets))
-        except ReproError as error:
-            results.append(error)
-    return results
+        algorithm=spec.algorithm, budgets=budgets)
 
 
 def build_response(prepared: PreparedRequest, payload: Dict[str, Any],
@@ -428,6 +370,5 @@ __all__ = [
     "error_response",
     "index_mismatch",
     "prepare_request",
-    "execute_prepared_batch",
     "build_response",
 ]

@@ -19,9 +19,9 @@ or a job scheduler without writing Python:
   :mod:`repro.api.protocol` dialect (``{"v": 1, "spec": {...}}``) and the
   legacy ``{"op": "query", ...}`` dialect, over ``--stdio`` (default),
   ``--tcp HOST:PORT`` and/or ``--unix PATH`` — every transport through
-  one request pipeline that coalesces identical in-flight requests and
-  batches compatible queries (see :mod:`repro.serve`); ``SIGHUP`` or the
-  ``reload`` op hot-reloads the index registry.
+  one request pipeline, in which every request crosses to the worker
+  thread once (see :mod:`repro.serve`); ``SIGHUP`` or the ``reload`` op
+  hot-reloads the index registry.
 
 The ``run`` and ``index build`` subcommands share argument groups
 generated from the :class:`~repro.api.WorkloadSpec` and
@@ -244,11 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-verify", action="store_true")
     serve.add_argument("--max-queue-depth", type=int, default=None,
                        metavar="N",
-                       help="admission bound on distinct in-flight specs; "
-                            "beyond it new work is shed with a typed "
-                            "'overloaded' envelope carrying queue_depth "
-                            "and retry_after_ms (default 256; 0 disables "
-                            "admission control)")
+                       help="admission bound on queries (v1 specs and "
+                            "legacy query ops) admitted and not yet "
+                            "answered; beyond it new work is shed with a "
+                            "typed 'overloaded' envelope carrying "
+                            "queue_depth and retry_after_ms (default 256; "
+                            "0 disables admission control)")
     serve.add_argument("--rate-limit", type=float, default=None,
                        metavar="RPS",
                        help="per-connection token-bucket rate limit in "
@@ -890,12 +891,6 @@ def _format_metrics(stats: dict) -> str:
                 lines.append(f"  span {labels}: p50 "
                              f"{summary['p50'] * 1e3:.2f} ms "
                              f"(n={summary['count']})")
-    for key, counters in sorted(stats.get("coalescer", {}).items()):
-        lines.append(
-            f"coalescer[{key}]: {counters.get('requests', 0)} requests, "
-            f"{counters.get('batches', 0)} batches, "
-            f"{counters.get('coalesced', 0)} coalesced, "
-            f"efficiency {counters.get('efficiency', 0.0):.0%}")
     registry = stats.get("registry", {})
     for key, row in sorted(registry.get("indexes", {}).items()):
         cache = row.get("cache") or {}

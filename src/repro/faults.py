@@ -15,9 +15,10 @@ Sites wired through the serving stack:
     :class:`~repro.exceptions.IndexStoreError` instead of loading — the
     request is answered with a typed envelope, never a crash.
 ``slow-selection``
-    :func:`repro.api.protocol.execute_prepared_batch` sleeps on the
-    worker thread before executing, simulating a cold/contended
-    selection run.
+    The execution step of :class:`repro.serve.server.AllocationServer`,
+    shared by v1 requests and legacy ``query`` ops, sleeps on the worker
+    thread before its deadline check and query, simulating a
+    cold/contended selection run.
 ``stall-write``
     :class:`repro.serve.server.AllocationServer` sleeps (async) before
     writing a response frame, simulating a slow/backpressured client

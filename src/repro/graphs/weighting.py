@@ -23,9 +23,11 @@ def weighted_cascade(graph: DirectedGraph,
 
     This is the default setting used throughout the paper's experiments
     ("Following previous works we set probability of edge e = (u, v) to
-    1/din(v)").
+    1/din(v)").  Deduplicated edges are sorted by (source, target), so
+    the out-CSR's indices are the edge targets in edge order: they are
+    read there, without copying the edge arrays.
     """
-    sources, targets, _ = graph.edge_arrays()
+    _, targets, _ = graph.out_csr()
     in_deg = graph.in_degrees().astype(np.float64)
     probs = 1.0 / np.maximum(in_deg[targets], 1.0)
     return graph.with_probabilities(probs, name=name or graph.name)

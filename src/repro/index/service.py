@@ -17,8 +17,8 @@ selection (milliseconds).  :class:`AllocationService` is the serving layer:
   ``query`` runs on the service's execution thread.
 
 The JSON-lines dialects of ``repro serve`` live in
-:class:`repro.serve.AllocationServer`, which answers both of them from
-:meth:`AllocationService.query`.
+:class:`repro.serve.AllocationServer`, whose one execution step answers
+both of them from :meth:`AllocationService.query` on its worker thread.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ def new_trace_id() -> str:
 class Trace:
     """Named span timings for one request, in recording order.
 
-    Repeated spans with the same name accumulate (a coalesced batch
-    executes once but queues per request).
+    Repeated spans with the same name accumulate.
     """
 
     __slots__ = ("trace_id", "started", "_spans")

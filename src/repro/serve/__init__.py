@@ -9,20 +9,20 @@ loop into a serving subsystem:
   LRU eviction of loaded services, and hot reload (``SIGHUP`` / the
   ``reload`` op); :func:`load_service` is the single
   index-file → :class:`~repro.index.service.AllocationService` loader.
-* :mod:`repro.serve.coalescer` — :class:`RequestCoalescer`, deduplicating
-  in-flight identical-fingerprint specs and batching compatible queries
-  per index, so N concurrent clients asking about the same workload cost
-  one selection run.
 * :mod:`repro.serve.server` — :class:`AllocationServer`, the asyncio
   JSON-lines server: one request pipeline for every transport (TCP, unix
   socket, and stdio as one more reader on the same event loop) and both
   dialects — the versioned :mod:`repro.api.protocol` and the legacy
-  ``{"op": ...}`` one — with typed error envelopes for malformed/oversized
-  frames, ``server`` response metadata, a ``stats`` op, admission control
-  (bounded queue + per-connection rate limits, shed with ``overloaded``
-  envelopes) and deadlines for the queries of both dialects, derived
-  health (``ok``/``degraded``/``draining``) and graceful drain on
-  shutdown (stragglers answered ``shutting-down``).
+  ``{"op": ...}`` one.  Every request crosses to the single worker
+  thread once, where it is routed, validated and executed (every
+  indexed answer is a slice of the one greedy order its index keeps,
+  and repeats hit the per-index result LRU).  Also: typed error
+  envelopes for malformed/oversized frames, ``server`` response
+  metadata, a ``stats`` op, admission control (a bound on queries
+  admitted and not yet answered + per-connection rate limits, shed with
+  ``overloaded`` envelopes) and deadlines for the queries of both
+  dialects, derived health (``ok``/``degraded``/``draining``) and
+  graceful drain on shutdown (stragglers answered ``shutting-down``).
 * :mod:`repro.serve.stdio` — the stdin/stdout adapters that let the
   stdio transport share the sockets' connection handler.
 * :mod:`repro.serve.client` — :class:`ResilientClient`, the asyncio
@@ -41,7 +41,6 @@ from repro.serve.client import (
     RetriesExhausted,
     RetryPolicy,
 )
-from repro.serve.coalescer import RequestCoalescer
 from repro.serve.registry import (
     IndexRegistry,
     LoadedService,
@@ -65,7 +64,6 @@ __all__ = [
     "IndexRegistry",
     "LoadedService",
     "RegistryEntry",
-    "RequestCoalescer",
     "ResilientClient",
     "RetriesExhausted",
     "RetryPolicy",

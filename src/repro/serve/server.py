@@ -13,20 +13,22 @@ whichever dialect it speaks:
 2. **drain, rate-limit and admission** — while draining, frames are
    answered ``shutting-down``; a per-connection token bucket
    (``rate_limit`` requests/s, ``rate_burst`` burst) and a bound of
-   ``max_queue_depth`` distinct in-flight specs shed work with a typed
-   ``overloaded`` envelope carrying ``queue_depth`` and a
+   ``max_queue_depth`` queries admitted and not yet answered shed work
+   with a typed ``overloaded`` envelope carrying ``queue_depth`` and a
    ``retry_after_ms`` hint;
 3. **deadline** — ``deadline_ms`` (from frame receipt; clamped to
    ``max_deadline_ms``, defaulted from ``default_deadline_ms``) is
    checked when execution starts: an expired request is answered
    ``deadline-exceeded`` *before* burning worker time;
 4. **route and validate** on the single worker thread, so lazy index
-   loads never block the loop;
-5. **execute** — v1 requests through the
-   :class:`~repro.serve.coalescer.RequestCoalescer` (deduplicated and
-   batched per index; a lone request is a batch of one), bit-identical
-   to a direct ``repro run`` of the same spec; a legacy op routes,
-   validates and executes in one worker-thread crossing;
+   loads never block the loop — :func:`~repro.api.protocol.prepare_request`
+   for a v1 request, :meth:`AllocationServer._legacy_target` for a
+   legacy op;
+5. **execute** — one step both dialects share, on the same worker
+   thread in the same crossing: the deadline check, the
+   ``slow-selection`` fault site and
+   :meth:`~repro.index.service.AllocationService.query`; a v1 answer is
+   bit-identical to a direct ``repro run`` of the same spec;
 6. one mapping from errors to envelopes;
 7. the dialect's response builder: :func:`~repro.api.protocol.build_response`
    for ``{"v": 1, ...}``, the legacy shape for ``{"op": ...}`` (``query``,
@@ -34,18 +36,20 @@ whichever dialect it speaks:
    and ``apply-delta``);
 8. one span and metrics record per frame.
 
-Queries of both dialects get admission control and deadlines; the ops
-are exempt from both, so the ops surface works *during* overload.
+A frame that passes stages 1–3 crosses to the worker thread once, for
+stages 4, 5 and 7.  Queries of both dialects get admission control and
+deadlines; the ops are exempt from both, so the ops surface works
+*during* overload.
 **Health** is derived — ``ok`` → ``degraded`` (queue near capacity or
 recent sheds) → ``draining`` — and surfaced by
 :meth:`AllocationServer.health` (``/healthz`` answers 503 unless ``ok``),
 the ``stats`` op and the ``repro_health_state`` gauge.  Served queries
-carry a ``"server"`` object (``index``, ``queue_depth``, ``coalesced``,
-``batch_size``, ``in_flight``).  :meth:`AllocationServer.shutdown`
-drains: accepting stops, in-flight requests finish and flush, then
-connections close; those still busy when ``drain_timeout`` expires get a
-typed ``shutting-down`` envelope first.  The :mod:`repro.faults` sites
-``stall-write`` and ``disconnect`` hook the response write.
+carry a ``"server"`` object (``index``, ``queue_depth``, ``in_flight``).
+:meth:`AllocationServer.shutdown` drains: accepting stops, in-flight
+requests finish and flush, then connections close; those still busy
+when ``drain_timeout`` expires get a typed ``shutting-down`` envelope
+first.  The :mod:`repro.faults` sites ``stall-write`` and
+``disconnect`` hook the response write.
 
 :meth:`AllocationServer.dispatch_line` drives the same pipeline
 synchronously for one frame (tests, benchmarks, embedding).
@@ -88,7 +92,6 @@ from repro.exceptions import (
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import Trace
-from repro.serve.coalescer import RequestCoalescer
 from repro.serve.registry import IndexRegistry, LoadedService, cache_hit_rate
 from repro.serve.stdio import StdinReader, StdoutWriter
 
@@ -100,7 +103,7 @@ DEFAULT_MAX_LINE_BYTES = 1_048_576
 #: chunk size for the connection read loop
 _READ_CHUNK = 65536
 
-#: default bound on distinct in-flight specs before new work is shed
+#: default bound on admitted, unanswered queries before new work is shed
 DEFAULT_MAX_QUEUE_DEPTH = 256
 
 #: default drain budget (seconds) for a graceful shutdown
@@ -116,11 +119,12 @@ _LEGACY_OPS = ("query", "ping", "stats", "metrics", "reload", "apply-delta")
 #: surface must keep answering while the serving path is shedding
 _OPS_EXEMPT = frozenset(_LEGACY_OPS[1:])
 
-#: what a failed legacy op may raise: library errors, and the type/value
-#: errors of malformed payloads (budgets of the wrong shape, non-integer
-#: k, ...) — answered, never fatal to the connection
-_LEGACY_ERRORS = (ReproError, TypeError, ValueError, AttributeError,
-                  KeyError)
+#: what a failed request may raise on the worker thread: library
+#: errors, and the type/value errors of malformed legacy payloads
+#: (budgets of the wrong shape, non-integer k, ...) — answered, never
+#: fatal to the connection
+_REQUEST_ERRORS = (ReproError, TypeError, ValueError, AttributeError,
+                   KeyError)
 
 #: health states in severity order (gauge value = index)
 HEALTH_STATES = ("ok", "degraded", "draining")
@@ -160,17 +164,15 @@ class AllocationServer:
         Frames longer than this are answered with an
         ``oversized-request`` envelope (the oversized input is discarded
         up to its newline, so the connection resynchronizes).
-    max_batch:
-        Forwarded to :class:`RequestCoalescer`.
     metrics:
         The :class:`MetricsRegistry` this server records into (a fresh
         enabled one by default).  Pass a disabled registry
         (``MetricsRegistry(enabled=False)``) to reduce all recording to
         no-ops; responses stay bit-identical either way.
     max_queue_depth:
-        Bound on distinct in-flight specs before new serving work is shed
-        with an ``overloaded`` envelope (``None`` disables admission
-        control — the pre-PR unbounded behaviour).
+        Bound on :attr:`queue_depth` — queries of either dialect admitted
+        and not yet answered — before new serving work is shed with an
+        ``overloaded`` envelope (``None`` disables admission control).
     rate_limit, rate_burst:
         Per-connection token-bucket admission (requests/second and burst
         size; ``rate_limit=None`` disables).  Shed requests get an
@@ -188,7 +190,6 @@ class AllocationServer:
 
     def __init__(self, registry: IndexRegistry, *,
                  max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                 max_batch: int = 64,
                  metrics: Optional[MetricsRegistry] = None,
                  max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
                  rate_limit: Optional[float] = None,
@@ -201,9 +202,8 @@ class AllocationServer:
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve")
-        self._coalescer = RequestCoalescer(self._executor,
-                                           max_batch=max_batch,
-                                           metrics=self._metrics)
+        #: queries admitted and not yet answered (event-loop owned)
+        self._queue_depth = 0
         self._max_queue_depth = (None if max_queue_depth is None
                                  else max(1, int(max_queue_depth)))
         self._rate_limit = (None if rate_limit is None
@@ -267,9 +267,8 @@ class AllocationServer:
                    lambda: float(HEALTH_STATES.index(self.health_state())),
                    "Derived health (0=ok, 1=degraded, 2=draining)")
         # live state as callback gauges: zero cost on the request path
-        m.gauge_fn("repro_queue_depth",
-                   lambda: self._coalescer.queue_depth,
-                   "Distinct in-flight specs awaiting execution")
+        m.gauge_fn("repro_queue_depth", lambda: self._queue_depth,
+                   "Queries admitted and not yet answered")
         m.gauge_fn("repro_in_flight_requests", lambda: self._busy,
                    "Requests being handled (including response write)")
         m.gauge_fn("repro_active_connections",
@@ -328,8 +327,9 @@ class AllocationServer:
         return self._registry
 
     @property
-    def coalescer(self) -> RequestCoalescer:
-        return self._coalescer
+    def queue_depth(self) -> int:
+        """Queries of either dialect admitted and not yet answered."""
+        return self._queue_depth
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -523,7 +523,9 @@ class AllocationServer:
             self._note_shed("shutting-down")
             return self._shutting_down_envelope(request_id)
         deadline = None
-        if op not in _OPS_EXEMPT:
+        depth = self._queue_depth
+        query = op not in _OPS_EXEMPT
+        if query:
             shed = self._admission_shed(request_id, bucket)
             if shed is not None:
                 return shed
@@ -532,73 +534,60 @@ class AllocationServer:
             if envelope is not None:
                 self._errors += 1
                 return envelope
-        loop = asyncio.get_running_loop()
+            # admitted: counted until answered, whichever way it exits
+            self._queue_depth += 1
         started = time.perf_counter()
-        if op is not None:
-            # 4.+5. a legacy op routes, validates and executes in one
-            # worker-thread crossing
-            try:
-                key, body = await loop.run_in_executor(
-                    self._executor, self._run_legacy, request, op,
-                    deadline, trace, started)
-            except _LEGACY_ERRORS as error:
-                return self._error_envelope(error, request, started)
-            return self._legacy_response(request, body, key)
-        # 4. route + validate on the worker thread (lazy index loads
-        # never block the loop)
-        begun, outcome = await loop.run_in_executor(
-            self._executor, self._prepare_v1, request, deadline)
-        # the wait behind other work on the one worker thread is queueing,
-        # as for a legacy op; validate is the worker's routing and
-        # validation
-        trace.add("queue", begun - started)
-        trace.add("validate", time.perf_counter() - begun)
-        if isinstance(outcome, dict):
-            self._errors += 1
-            return outcome
-        key, service, prepared = outcome
-        # 5. execute through the coalescer (a lone request is a batch of
-        # one)
-        submitted = time.perf_counter()
-        result, coalesced, batch_size, depth, exec_s = \
-            await self._coalescer.submit(key, service, prepared)
-        # the batch's worker-thread time is shared by its members; the
-        # rest of the wait is queueing (tick gather + executor backlog)
-        trace.add("queue",
-                  max(0.0, time.perf_counter() - submitted - exec_s))
-        trace.add("execute", exec_s)
-        if exec_s > 0.0:
-            # EWMA of per-batch worker time — feeds retry_after_ms hints
-            self._avg_exec_s += 0.2 * (exec_s - self._avg_exec_s)
-        if isinstance(result, ReproError):
-            return self._error_envelope(result, request, started)
-        # 7. the v1 response builder
-        response = build_response(prepared, result, started, trace=trace)
-        response["server"] = self._server_meta(
-            key, coalesced=coalesced, batch_size=batch_size,
-            queue_depth=depth)
+        try:
+            # 4.+5. the request's one worker-thread crossing: route,
+            # validate and execute (lazy index loads never block the loop)
+            key, response = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._run, request, op, deadline, trace,
+                started)
+        except _REQUEST_ERRORS as error:
+            return self._error_envelope(error, request, started)
+        finally:
+            if query:
+                self._queue_depth -= 1
+        if key is not None:
+            response["server"] = self._server_meta(key, depth)
+        elif response["ok"] is False:
+            self._errors += 1  # a v1 request refused by validation
         return response
 
-    def _prepare_v1(self, request: Mapping[str, Any],
-                    deadline: Optional[float]) -> Tuple[float, Any]:
-        """Stage 4 of a v1 request, on the worker thread: ``(when it
-        began, prepare_request's outcome)``."""
-        begun = time.perf_counter()
-        return begun, prepare_request(request, self._registry.resolve_spec,
-                                      deadline)
+    def _run(self, request: Mapping[str, Any], op: Optional[str],
+             deadline: Optional[float], trace: Trace, submitted: float
+             ) -> Tuple[Optional[str], Dict[str, Any]]:
+        """Stages 4, 5 and 7 on the worker thread: a request's one crossing.
+
+        Returns ``(key, response)`` — the index that served a query (for
+        the ``server`` object; ``None`` for the ops and for a v1 request
+        refused by validation, whose response is its error envelope) and
+        the dialect's response; raises what failed the request.
+        """
+        started = time.perf_counter()
+        # the wait behind other work on the one worker thread
+        trace.add("queue", started - submitted)
+        if op is not None:
+            key, body = self._run_legacy(request, op, deadline, trace,
+                                         started)
+            return key, self._legacy_response(request, body)
+        outcome = prepare_request(request, self._registry.resolve_spec)
+        trace.add("validate", time.perf_counter() - started)
+        if isinstance(outcome, dict):
+            return None, outcome
+        key, service, prepared = outcome
+        payload = self._execute(service, deadline, trace,
+                                prepared.algorithm, prepared.budgets)
+        # 7. the v1 response builder
+        return key, build_response(prepared, payload, submitted,
+                                   trace=trace)
 
     def _run_legacy(self, request: Mapping[str, Any], op: str,
                     deadline: Optional[float], trace: Trace,
-                    submitted: float) -> Tuple[Optional[str],
-                                               Dict[str, Any]]:
-        """Stages 4–5 of a legacy op: its one worker-thread crossing.
-
-        Returns ``(key, body)`` — the index that served a query (for the
-        ``server`` object) and the op's response body; raises what
-        failed the op.
-        """
-        started = time.perf_counter()
-        trace.add("queue", started - submitted)
+                    started: float) -> Tuple[Optional[str],
+                                             Dict[str, Any]]:
+        """Stages 4–5 of a legacy op: ``(key, body)`` — the index that
+        served a query and the op's response body."""
         if op == "ping":
             return None, {"ok": True, "pong": True, "latency_ms": 0.0}
         if op == "stats":
@@ -610,11 +599,8 @@ class AllocationServer:
         if op not in _LEGACY_OPS:
             raise AlgorithmError(f"unknown op {op!r}; expected one of "
                                  f"{', '.join(_LEGACY_OPS)}")
-        # spans timed inline, not with trace.span: this is the hot path
-        # of every legacy query
         key, loaded = self._legacy_target(request)
-        routed = time.perf_counter()
-        trace.add("validate", routed - started)
+        trace.add("validate", time.perf_counter() - started)
         if op == "apply-delta":
             # repair → atomic rewrite → rescan → install: the repaired
             # build stays resident, verified against the graph it was
@@ -625,20 +611,44 @@ class AllocationServer:
                 key, request.get("delta") or {}))
             served: Optional[str] = None
         else:
-            if deadline is not None and routed >= deadline:
-                raise DeadlineExceeded(
-                    "deadline expired before execution started")
             service = loaded.service
-            body = dict(ok=True, **service.query(
-                algorithm=request.get(
-                    "algorithm",
-                    service.index.meta.get("algorithm", "select")),
-                budgets=request.get("budgets"),
-                k=request.get("k", request.get("budget"))))
-            trace.add("execute", time.perf_counter() - routed)
+            body = dict(ok=True, **self._execute(
+                service, deadline, trace,
+                request.get("algorithm",
+                            service.index.meta.get("algorithm", "select")),
+                request.get("budgets"),
+                request.get("k", request.get("budget"))))
             served = key
         body["latency_ms"] = round((time.perf_counter() - started) * 1e3, 3)
         return served, body
+
+    def _execute(self, service, deadline: Optional[float], trace: Trace,
+                 algorithm: str,
+                 budgets: Optional[Mapping[str, int]] = None,
+                 k: Optional[int] = None) -> Dict[str, Any]:
+        """Stage 5, the execution step both dialects share.
+
+        Runs on the worker thread: the service's query LRU is not
+        thread-safe (the index's greedy order, which every answer slices,
+        is locked).  The ``slow-selection`` fault site stalls first, as a
+        cold or contended selection would; a request whose deadline has
+        passed then raises :class:`DeadlineExceeded` without costing
+        selection time; :meth:`AllocationService.query` answers the rest.
+        The step's worker time is the ``execute`` span and feeds the
+        ``retry_after_ms`` EWMA.
+        """
+        begun = time.perf_counter()
+        stall = faults.delay("slow-selection")
+        if stall > 0.0:
+            time.sleep(stall)
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise DeadlineExceeded(
+                "deadline expired before execution started")
+        payload = service.query(algorithm, budgets=budgets, k=k)
+        elapsed = time.perf_counter() - begun
+        trace.add("execute", elapsed)
+        self._avg_exec_s += 0.2 * (elapsed - self._avg_exec_s)
+        return payload
 
     def _legacy_target(self, request: Mapping[str, Any]
                        ) -> Tuple[str, LoadedService]:
@@ -681,31 +691,27 @@ class AllocationServer:
             "latency_ms": round((time.perf_counter() - started) * 1e3, 3)})
 
     def _legacy_response(self, request: Mapping[str, Any],
-                         body: Mapping[str, Any],
-                         key: Optional[str] = None) -> Dict[str, Any]:
-        """Stage 7 for the legacy dialect: the request ``id``, the op's
-        body, and the ``server`` object on a served query."""
+                         body: Mapping[str, Any]) -> Dict[str, Any]:
+        """Stage 7 for the legacy dialect: the request ``id`` and the
+        op's body."""
         response: Dict[str, Any] = {}
         if "id" in request:
             response["id"] = request["id"]
         response.update(body)
-        if key is not None:
-            response["server"] = self._server_meta(key)
         return response
 
-    def _server_meta(self, key: Optional[str] = None,
-                     coalesced: bool = False, batch_size: int = 1,
-                     queue_depth: int = 0) -> Dict[str, Any]:
+    def _server_meta(self, key: str, queue_depth: int) -> Dict[str, Any]:
+        """The ``server`` object of a served query: its index, the
+        queries admitted ahead of it and not yet answered, and the
+        requests in flight now."""
         return {"index": key, "queue_depth": queue_depth,
-                "coalesced": coalesced, "batch_size": batch_size,
                 "in_flight": self._busy}
 
     # ------------------------------------------------------------------
     # ops payloads
     # ------------------------------------------------------------------
     def stats_payload(self) -> Dict[str, Any]:
-        """Server + registry + coalescer + metrics statistics (the
-        ``stats`` op)."""
+        """Server + registry + metrics statistics (the ``stats`` op)."""
         payload = {
             "server": {
                 "uptime_s": round(time.time() - self._started, 3),
@@ -714,7 +720,7 @@ class AllocationServer:
                 "connections": self._connections,
                 "active_connections": len(self._conn_tasks),
                 "in_flight": self._busy,
-                "queue_depth": self._coalescer.queue_depth,
+                "queue_depth": self._queue_depth,
                 "max_line_bytes": self._max_line_bytes,
                 "draining": self._draining,
                 "metrics_enabled": self._metrics.enabled,
@@ -735,7 +741,6 @@ class AllocationServer:
                     "drain_timeout_s": self._drain_timeout,
                 },
             },
-            "coalescer": self._coalescer.counters(),
             "registry": self._registry.stats(),
             "metrics": self._metrics.summary(),
         }
@@ -776,7 +781,7 @@ class AllocationServer:
         if metric is not None:
             metric.inc()
         log_event(_LOG, logging.WARNING, "request-shed", reason=reason,
-                  queue_depth=self._coalescer.queue_depth)
+                  queue_depth=self._queue_depth)
 
     def _note_deadline_expired(self) -> None:
         self._errors += 1
@@ -807,17 +812,17 @@ class AllocationServer:
                     "overloaded",
                     f"connection exceeded its {self._rate_limit:g} req/s "
                     f"budget", request_id,
-                    queue_depth=self._coalescer.queue_depth,
+                    queue_depth=self._queue_depth,
                     retry_after_ms=int(wait_s * 1000.0) + 1)
         if self._max_queue_depth is None:
             return None
-        depth = self._coalescer.queue_depth
+        depth = self._queue_depth
         if depth < self._max_queue_depth:
             return None
         self._note_shed("queue-full")
         return error_response(
             "overloaded",
-            f"server is at capacity ({depth} in-flight specs); "
+            f"server is at capacity ({depth} queries in flight); "
             f"retry with backoff", request_id,
             queue_depth=depth,
             retry_after_ms=self._retry_after_ms(depth))
@@ -851,7 +856,7 @@ class AllocationServer:
         if self._draining:
             return "draining"
         if self._max_queue_depth is not None:
-            if self._coalescer.queue_depth >= 0.8 * self._max_queue_depth:
+            if self._queue_depth >= 0.8 * self._max_queue_depth:
                 return "degraded"
         if self._recent_sheds() > 0:
             return "degraded"
@@ -864,7 +869,7 @@ class AllocationServer:
             "state": state,
             "ok": state == "ok",
             "uptime_s": round(time.time() - self._started, 3),
-            "queue_depth": self._coalescer.queue_depth,
+            "queue_depth": self._queue_depth,
             "in_flight": self._busy,
             "recent_sheds": self._recent_sheds(),
             "draining": self._draining,

@@ -10,7 +10,9 @@ the resilience invariants from the serving contract:
   allocation), and allocations stay bit-identical with faults disabled;
 * shed requests carry ``overloaded`` envelopes with ``queue_depth`` and
   ``retry_after_ms``; draining connections get ``shutting-down``;
-* SIGHUP-style hot reload racing an in-flight coalesced batch is safe;
+* the queue bound counts queries of both dialects from admission to
+  answer, and that count returns to zero on every exit path;
+* SIGHUP-style hot reload racing in-flight requests is safe;
 * an aborted (cancelled) ``serve_forever`` still unlinks its unix socket.
 """
 
@@ -220,7 +222,7 @@ class TestAdmissionControl:
         variants = _variants([{"i": 1, "j": 1}, {"i": 2, "j": 1},
                               {"i": 1, "j": 2}, {"i": 2, "j": 2}])
         # warm the index synchronously so the stalled request below
-        # reaches the coalescer quickly (load time is not part of the
+        # reaches the worker quickly (load time is not part of the
         # scenario)
         warm = server.dispatch_line(json.dumps(make_request(variants[0])))
         assert warm["ok"] is True
@@ -241,7 +243,7 @@ class TestAdmissionControl:
             host, port = await server.start_tcp("127.0.0.1", 0)
             first = asyncio.create_task(one(host, port, variants[1]))
             deadline = asyncio.get_running_loop().time() + 30
-            while server.coalescer.queue_depth < 1:
+            while server.queue_depth < 1:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.01)
             rest = await asyncio.gather(
@@ -265,6 +267,135 @@ class TestAdmissionControl:
             == len(shed)
         assert stats["server"]["shed"]["total"] == len(shed)
         assert stats["faults"]["slow-selection"]["fired"] >= 1
+
+    @pytest.mark.parametrize("dialect", ["v1", "legacy"])
+    def test_burst_beyond_queue_bound_is_shed(self, index_dir, dialect):
+        # four connections send four distinct queries in one burst while
+        # the first one admitted stalls on the worker: the bound of 1
+        # admits exactly one, whichever dialect the queries speak
+        server = _server(index_dir, max_queue_depth=1)
+        budgets = [{"i": 1, "j": 1}, {"i": 2, "j": 1},
+                   {"i": 1, "j": 2}, {"i": 2, "j": 2}]
+        if dialect == "v1":
+            frames = [make_request(spec) for spec in _variants(budgets)]
+        else:
+            frames = [{"op": "query", "budgets": b} for b in budgets]
+        assert server.dispatch_line(json.dumps(frames[0]))["ok"] is True
+        faults.configure("slow-selection:1.0:300", seed=0)
+
+        async def scenario():
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            connections = [await asyncio.open_connection(host, port)
+                           for _ in frames]
+            for (_, writer), frame in zip(connections, frames):
+                writer.write(json.dumps(frame).encode() + b"\n")
+            await asyncio.gather(*[writer.drain()
+                                   for _, writer in connections])
+            responses = [json.loads(await asyncio.wait_for(
+                reader.readline(), 120)) for reader, _ in connections]
+            for _, writer in connections:
+                writer.close()
+            stats = server.stats_payload()
+            await server.shutdown(drain=True)
+            return responses, stats
+
+        responses, stats = _run(scenario())
+        served = [r for r in responses if r.get("ok")]
+        shed = [r for r in responses if not r.get("ok", True)]
+        assert len(served) == 1, responses
+        assert len(shed) == 3, responses
+        for response in shed:
+            assert response["error"]["code"] == "overloaded"
+            assert response["error"]["queue_depth"] == 1
+        assert served[0]["server"]["queue_depth"] == 0
+        assert stats["server"]["shed"]["by_reason"]["queue-full"] == 3
+        assert stats["server"]["queue_depth"] == 0
+
+    def test_queue_depth_returns_to_zero_on_every_exit(self, index_dir):
+        import dataclasses
+
+        server = _server(index_dir, max_queue_depth=1)
+        assert server.dispatch_line(
+            json.dumps(make_request(SPEC)))["ok"] is True
+        wrong_seed = dataclasses.replace(
+            SPEC, engine=dataclasses.replace(SPEC.engine, seed=99))
+        max_grd = make_request(RunSpec("MaxGRD", SPEC.workload,
+                                       SPEC.engine))
+
+        async def scenario():
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            loop = asyncio.get_running_loop()
+
+            async def ask(frame):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(json.dumps(frame).encode() + b"\n")
+                await writer.drain()
+                response = json.loads(await asyncio.wait_for(
+                    reader.readline(), 120))
+                writer.close()
+                return response
+
+            async def settle(requests):
+                deadline = loop.time() + 30
+                while server.stats_payload()["server"]["requests"] \
+                        < requests or server.stats_payload()[
+                            "server"]["in_flight"]:
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.01)
+
+            codes = []
+            # a shed request: one query stalls in flight, the next is shed
+            faults.configure("slow-selection:1.0:300", seed=0)
+            stalled = asyncio.create_task(ask(make_request(SPEC)))
+            while server.queue_depth < 1:
+                await asyncio.sleep(0.01)
+            codes.append((await ask({"op": "query",
+                                     "budgets": {"i": 1, "j": 1}})
+                          )["error"]["code"])
+            assert (await stalled)["ok"] is True
+            faults.disarm()
+            codes.append((await ask(max_grd))["error"]["code"])
+            codes.append((await ask(make_request(wrong_seed)))
+                         ["error"]["code"])
+            codes.append((await ask(dict(make_request(SPEC),
+                                         deadline_ms=1e-6)))
+                         ["error"]["code"])
+            codes.append((await ask({"op": "query", "deadline_ms": 1e-6,
+                                     "budgets": {"i": 2, "j": 2}}))
+                         ["error"]["code"])
+            negative = await ask({"op": "query", "budgets": {"i": -1}})
+            assert negative["ok"] is False and "budget" in negative["error"]
+            # a client that disconnects while its query is on the worker
+            faults.configure("slow-selection:1.0:200", seed=0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(json.dumps(make_request(SPEC)).encode() + b"\n")
+            await writer.drain()
+            while server.queue_depth < 1:
+                await asyncio.sleep(0.01)
+            writer.close()
+            await settle(requests=9)
+            depth = server.queue_depth
+            stats = server.stats_payload()
+            await server.shutdown(drain=True)
+            return codes, depth, stats
+
+        codes, depth, stats = _run(scenario())
+        assert codes == ["overloaded", "unsupported-algorithm",
+                         "incompatible-spec", "deadline-exceeded",
+                         "deadline-exceeded"]
+        assert depth == 0
+        assert stats["server"]["queue_depth"] == 0
+        assert stats["metrics"]["gauges"]["repro_queue_depth"][""] == 0.0
+
+    def test_slow_selection_stalls_legacy_queries(self, index_dir):
+        server = _server(index_dir)
+        faults.configure("slow-selection:1.0:20", seed=0)
+        response = server.dispatch_line(
+            '{"op": "query", "budgets": {"i": 2, "j": 2}}')
+        assert response["ok"] is True
+        assert server.stats_payload()["faults"]["slow-selection"] == {
+            "rate": 1.0, "delay_ms": 20.0, "checked": 1, "fired": 1}
+        _run(server.shutdown())
 
     def test_rate_limit_sheds_per_connection(self, index_dir):
         server = _server(index_dir, rate_limit=0.5, rate_burst=2)
@@ -398,10 +529,9 @@ class TestDeadlines:
             '{"op": "ping", "deadline_ms": 1e-6}')["pong"] is True
         assert server.dispatch_line('{"op": "stats"}')["ok"] is True
 
-    def test_expired_deadline_in_coalesced_batch(self, index_dir):
-        # the slow-selection stall burns the whole deadline while the
-        # request sits in the coalescer, so expiry is detected at batch
-        # execution start on the worker thread
+    def test_expired_deadline_behind_a_slow_selection(self, index_dir):
+        # the slow-selection stall burns the whole deadline on the worker
+        # thread, so expiry is detected when execution starts
         faults.configure("slow-selection:1.0:150", seed=0)
         server = _server(index_dir)
 
@@ -487,11 +617,11 @@ class TestDrain:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestLifecycleRegressions:
-    def test_hot_reload_races_inflight_coalesced_batch(
+    def test_hot_reload_races_inflight_requests(
             self, index_dir, direct_allocation):
         # a SIGHUP handler calls registry.reload() on the event-loop
-        # thread while a coalesced batch executes on the worker thread;
-        # the in-flight batch must still answer correctly
+        # thread while requests execute on the worker thread; every
+        # in-flight request must still answer correctly
         faults.configure("slow-selection:1.0:200", seed=0)
         server = _server(index_dir)
 
@@ -510,7 +640,7 @@ class TestLifecycleRegressions:
                 return response
 
             clients = [asyncio.create_task(one(i)) for i in range(4)]
-            await asyncio.sleep(0.05)  # batch is now on the worker
+            await asyncio.sleep(0.05)  # the first is now on the worker
             reload_stats = server.registry.reload()  # the SIGHUP body
             responses = await asyncio.gather(*clients)
             await server.shutdown(drain=True)

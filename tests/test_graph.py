@@ -162,6 +162,30 @@ class TestDerivedGraphs:
         assert derived.name == "derived"
         assert derived.num_edges == fresh.num_edges
 
+    def test_weighted_cascade_reads_targets_from_the_out_csr(self):
+        # duplicate edges collapse, so the edge count shrinks and the
+        # targets come from the deduplicated, (source, target)-sorted order
+        from repro.graphs.weighting import weighted_cascade
+
+        rng = np.random.default_rng(5)
+        sources = rng.integers(0, 25, size=300)
+        targets = rng.integers(0, 25, size=300)
+        keep = sources != targets
+        g = DirectedGraph(25, sources[keep], targets[keep],
+                          rng.random(int(keep.sum())), name="dupes")
+        assert g.num_edges < int(keep.sum())
+        _, edge_targets, _ = g.edge_arrays()
+        in_deg = g.in_degrees().astype(np.float64)
+        want = g.with_probabilities(
+            1.0 / np.maximum(in_deg[edge_targets], 1.0))
+        got = weighted_cascade(g)
+        for left_csr, right_csr in [(got.out_csr(), want.out_csr()),
+                                    (got.in_csr(), want.in_csr())]:
+            for left, right in zip(left_csr, right_csr):
+                assert left.dtype == right.dtype
+                np.testing.assert_array_equal(left, right)
+        assert got.name == "dupes"
+
     def test_with_probabilities_range_and_copy(self):
         g = DirectedGraph.from_edges(3, [(0, 1, 0.5), (2, 1, 0.5)])
         for bad in ([0.1, 1.5], [-0.1, 0.2]):

@@ -2,8 +2,8 @@
 
 Covers v1 request → response → ``RunSpec.from_dict`` round-trips, the
 error envelopes (unknown version, malformed request, invalid spec,
-incompatible spec, unsupported algorithm), response caching, per-request
-failure isolation in batches, routing by index sampler kind, and the
+incompatible spec, unsupported algorithm), response caching, the
+execution step both dialects share, routing by index sampler kind, and the
 acceptance property that a ``repro run`` and an equivalent ``repro
 serve`` request produce bit-identical allocations.  Requests go through
 the server's pipeline over saved indexes.
@@ -21,10 +21,11 @@ from repro.api import (
     WorkloadSpec,
     make_request,
 )
-from repro.api.protocol import execute_prepared_batch, prepare_request
+from repro.api.protocol import prepare_request
 from repro.cli import main
 from repro.exceptions import AlgorithmError, DeadlineExceeded
 from repro.index import build_index
+from repro.obs.trace import Trace
 from repro.serve import AllocationServer, IndexRegistry
 from repro.utility.configs import configuration_model
 
@@ -168,27 +169,44 @@ class TestVersionedRequests:
         assert "allocation" in response
 
 
-class TestBatchExecution:
-    def test_failures_are_isolated_per_request(self, server, spec):
-        import dataclasses
+class TestExecution:
+    """Single prepared requests through the server's execution step, the
+    one v1 requests and legacy queries share."""
 
+    @staticmethod
+    def prepared(server, spec):
         service = server.registry.get("proto-idx").service
+        key, routed, out = prepare_request(
+            make_request(spec, request_id=1),
+            lambda _spec: ("proto-idx", service))
+        assert (key, routed) == ("proto-idx", service)
+        return service, out
 
-        def prepared(request, deadline=None):
-            key, routed, out = prepare_request(
-                request, lambda _spec: ("proto-idx", service), deadline)
-            assert routed is service
-            return out
+    def test_degenerate_query_raises(self, server, spec):
+        service, prepared = self.prepared(server, spec)
+        with pytest.raises(AlgorithmError):
+            server._execute(service, None, Trace(), prepared.algorithm,
+                            {"i": -1})
 
-        good = prepared(make_request(spec, request_id=1))
-        degenerate = dataclasses.replace(good, budgets={"i": -1})
-        expired = prepared(make_request(spec), deadline=0.0)
-        results = execute_prepared_batch(
-            service, [good, degenerate, expired, good])
-        assert isinstance(results[1], AlgorithmError)
-        assert isinstance(results[2], DeadlineExceeded)
-        assert results[0]["allocation"] == results[3]["allocation"]
-        assert results[3]["cached"] is True
+    def test_expired_deadline_raises(self, server, spec):
+        service, prepared = self.prepared(server, spec)
+        trace = Trace()
+        with pytest.raises(DeadlineExceeded):
+            server._execute(service, 0.0, trace, prepared.algorithm,
+                            prepared.budgets)
+        # nothing executed: no execute span
+        assert trace.spans() == []
+
+    def test_repeat_comes_back_cached(self, server, spec):
+        service, prepared = self.prepared(server, spec)
+        trace = Trace()
+        first = server._execute(service, None, trace, prepared.algorithm,
+                                prepared.budgets)
+        second = server._execute(service, None, trace, prepared.algorithm,
+                                 prepared.budgets)
+        assert second["cached"] is True
+        assert second["allocation"] == first["allocation"]
+        assert [name for name, _ in trace.spans()] == ["execute"]
 
 
 class TestSamplerRouting:

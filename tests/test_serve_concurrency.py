@@ -4,7 +4,8 @@ Covers the acceptance properties of the concurrent server:
 
 * 32 concurrent TCP clients with mixed spec fingerprints against a
   2-index registry all receive allocations **bit-identical** to a direct
-  ``repro run`` of their spec, with the coalesce counter > 0;
+  ``repro run`` of their spec;
+* every request crosses to the worker thread exactly once;
 * LRU eviction order of loaded indexes under a capacity-1 registry;
 * graceful shutdown drains in-flight requests (the response of a request
   admitted before ``shutdown`` is still delivered).
@@ -48,14 +49,6 @@ SPEC_B = RunSpec(
                           configuration=CONFIGURATION,
                           budgets={"i": 3, "j": 1}),
     engine=EngineConfig(seed=SEED, samples=10, max_rr_sets=1500))
-
-
-def _variants(spec: RunSpec, budgets_list):
-    import dataclasses
-
-    return [dataclasses.replace(
-        spec, workload=dataclasses.replace(spec.workload, budgets=b))
-        for b in budgets_list]
 
 
 @pytest.fixture(scope="module")
@@ -135,49 +128,10 @@ class TestThirtyTwoClientSoak:
                 assert response["allocation"] == expected
                 assert response["fingerprint"] == spec.fingerprint()
                 assert response["server"]["index"] in ("idx-a", "idx-b")
-        # 96 requests over 2 distinct fingerprints with response caching
-        # off: concurrency must have coalesced many of them
-        coalesced = sum(c["coalesced"]
-                        for c in stats["coalescer"].values())
-        assert coalesced > 0
         assert stats["server"]["requests"] == 96
         assert stats["server"]["errors"] == 0
-        assert set(stats["coalescer"]) == {"idx-a", "idx-b"}
         assert stats["registry"]["entries"] == 2
         assert stats["registry"]["evictions"] == 0
-
-    def test_batching_distinct_budgets(self, index_dir):
-        registry = IndexRegistry(directory=index_dir, capacity=2,
-                                 cache_size=0)
-        server = AllocationServer(registry)
-        variants = _variants(SPEC_A, [{"i": 1, "j": 1}, {"i": 2, "j": 1},
-                                      {"i": 1, "j": 2}, {"i": 2, "j": 2}])
-
-        async def client(host, port, spec):
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(json.dumps(make_request(spec)).encode() + b"\n")
-            await writer.drain()
-            response = json.loads(await asyncio.wait_for(
-                reader.readline(), 120))
-            writer.close()
-            return response
-
-        async def scenario():
-            host, port = await server.start_tcp("127.0.0.1", 0)
-            responses = await asyncio.gather(
-                *[client(host, port, spec)
-                  for spec in variants for _ in range(4)])
-            counters = server.coalescer.counters("idx-a")
-            await server.shutdown(drain=True)
-            return responses, counters
-
-        responses, counters = _run(scenario())
-        assert all(r["ok"] for r in responses)
-        # 16 requests, 4 distinct fingerprints: dedup + batching must have
-        # collapsed executions well below the request count
-        assert counters["executed"] < len(responses)
-        assert counters["coalesced"] + counters["batched_requests"] \
-            == len(responses)
 
     def test_incompatible_specs_only_reach_their_index(self, index_dir):
         registry = IndexRegistry(directory=index_dir, capacity=2)
@@ -186,6 +140,47 @@ class TestThirtyTwoClientSoak:
         response_b = server.dispatch_line(json.dumps(make_request(SPEC_B)))
         assert response_a["server"]["index"] == "idx-a"
         assert response_b["server"]["index"] == "idx-b"
+
+
+class TestOneCrossing:
+    """Routing, validation and execution share one worker-thread
+    crossing, in either dialect."""
+
+    @staticmethod
+    def submits(server, frame):
+        calls = []
+        submit = server._executor.submit
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        server._executor.submit = counting
+        try:
+            response = server.dispatch_line(json.dumps(frame))
+        finally:
+            server._executor.submit = submit
+        return response, len(calls)
+
+    def test_v1_request_crosses_once(self, index_dir):
+        server = AllocationServer(IndexRegistry(directory=index_dir,
+                                                capacity=2))
+        for _ in range(2):  # cold (index load), then warm
+            response, crossings = self.submits(
+                server, make_request(SPEC_A))
+            assert response["ok"] is True, response
+            assert crossings == 1
+        _run(server.shutdown())
+
+    def test_legacy_query_crosses_once(self, index_dir):
+        server = AllocationServer(IndexRegistry(directory=index_dir,
+                                                capacity=2))
+        response, crossings = self.submits(
+            server, {"op": "query", "index": "idx-a",
+                     "budgets": {"i": 1, "j": 1}})
+        assert response["ok"] is True, response
+        assert crossings == 1
+        _run(server.shutdown())
 
 
 class TestLegacyDialectRouting:

@@ -12,7 +12,7 @@ a direct :func:`repro.api.run` of the same spec:
 * serving the same spec twice (fresh service vs. cached) must agree.
 
 One spec additionally round-trips through a real TCP connection, so the
-wire path (framing, coalescer, worker thread) is covered by the same
+wire path (framing, admission, worker thread) is covered by the same
 bit-identity property.
 """
 
